@@ -19,8 +19,6 @@ from .errors import (
 )
 from .flow import (
     Field2D,
-    FlowCase,
-    generate_transient,
     read_snapshot_csv,
     read_snapshot_file,
     solve_cavity,
@@ -53,7 +51,6 @@ from .readout import (
     ReadoutReport,
     error_budget_check,
     fsr_readout,
-    hadamard_p0,
     podr_readout,
     rsr_readout,
     sample_coefficient,

@@ -6,6 +6,10 @@ block from a quantum-Shannon-style bound, with the known tight value for
 two-qubit blocks, and fold single-qubit layers at three per CNOT.  Absolute
 depths are model-defined; only the scaling in the register size is meant to
 be compared against anything external.
+
+The module only prices circuits (plus affine_fit_r2, the line fit that
+judges depth scaling); the depth study that runs the offline stage across
+grid sizes is pipeline.run_depth_study.
 """
 
 from __future__ import annotations
@@ -15,9 +19,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import FieldError, NumericalError
+from .errors import FieldError
 from .mps import MpsVector
-from .pod import build_snapshot_matrix, pod_decompose, select_nb
 
 
 @dataclass(frozen=True)
@@ -92,70 +95,6 @@ def cost_model(layout, core_chis=None) -> CircuitCost:
 
 def circuit_cost(m: MpsVector) -> CircuitCost:
     return cost_model(staircase_layout(m))
-
-
-def depth_vs_gridsize_study(
-    make_ensemble,
-    thresholds,
-    grid_sizes,
-    chi_cap=None,
-    csv_path=None,
-):
-    """Depth of the costliest selected basis across grid sizes.
-
-    make_ensemble(nx, ny) must return (ux_fields, uy_fields, labels).  For
-    each total size N in grid_sizes (a square of a power of two), the full
-    offline pipeline runs at the given (projection, encoding) thresholds.
-    The reported depth is the per-shot preparation cost upper bound, i.e.
-    the largest block-model depth over the n_b selected bases; that basis
-    is the one carrying the largest bond dimension and is normally the
-    n_b-th, though on coarse grids the greedy plan can leave the last basis
-    cheaper than an earlier one.  Returns a list of row dicts; optionally
-    writes them as CSV.
-    """
-    from .mps import search_bond_plan  # local import keeps module load light
-
-    proj_thr, enc_thr = thresholds
-    rows = []
-    for size in grid_sizes:
-        side = math.isqrt(size)
-        if side * side != size or side & (side - 1):
-            raise FieldError(f"grid size {size} is not the square of a power of two")
-        try:
-            ux_fields, uy_fields, labels = make_ensemble(side, side)
-            for component, fields in (("ux", ux_fields), ("uy", uy_fields)):
-                s = build_snapshot_matrix(fields, labels)
-                basis = pod_decompose(s)
-                n_b = select_nb(basis.sigma, s.m, proj_thr)
-                basis = basis.with_nb(n_b)
-                n = size.bit_length() - 1
-                cap = chi_cap if chi_cap is not None else 2 ** (n // 2)
-                plan, approx = search_bond_plan(basis, enc_thr, cap)
-                cost = max(
-                    (circuit_cost(m) for m in approx), key=lambda c: c.depth
-                )
-                rows.append(
-                    {
-                        "N": size,
-                        "component": component,
-                        "n_b": n_b,
-                        "chi_list": ";".join(str(c) for c in plan.chis),
-                        "two_qubit_gates": cost.two_qubit_gate_count,
-                        "depth": cost.depth,
-                    }
-                )
-        except NumericalError as exc:
-            raise NumericalError(f"grid size {size}: {exc}") from exc
-    if csv_path is not None:
-        header = "N,component,n_b,chi_list,two_qubit_gates,depth"
-        lines = [header] + [
-            f"{r['N']},{r['component']},{r['n_b']},{r['chi_list']},"
-            f"{r['two_qubit_gates']},{r['depth']}"
-            for r in rows
-        ]
-        with open(csv_path, "w", newline="") as fh:
-            fh.write("\n".join(lines) + "\n")
-    return rows
 
 
 def affine_fit_r2(xs, ys) -> float:

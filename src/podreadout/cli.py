@@ -120,7 +120,10 @@ def _cmd_depth_study(args):
     cfg = _load(args)
     sizes = None
     if args.sizes:
-        sizes = tuple(int(s) for s in args.sizes.split(","))
+        try:
+            sizes = tuple(int(s) for s in args.sizes.split(","))
+        except ValueError as exc:
+            raise ConfigError(f"--sizes must be comma-separated integers: {exc}") from exc
     rows = pipeline.run_depth_study(cfg, grid_sizes=sizes)
     for r in rows:
         print(f"N={r['N']:>6} {r['component']}: n_b={r['n_b']} depth={r['depth']}")

@@ -70,30 +70,6 @@ class Field2D:
         return cls(nx=a.shape[1], ny=a.shape[0], values=a.reshape(-1).copy())
 
 
-@dataclass(frozen=True)
-class FlowCase:
-    """Label describing where a snapshot came from.
-
-    kind is one of "cavity-steady", "synthetic-transient", "ingested".
-    reynolds applies to cavity cases, timestep_index to transient ones.
-    """
-
-    kind: str
-    reynolds: float | None = None
-    timestep_index: int | None = None
-    lid_speed: float = 1.0
-
-    def __post_init__(self):
-        if self.kind not in ("cavity-steady", "synthetic-transient", "ingested"):
-            raise FieldError(f"unknown flow case kind {self.kind!r}")
-        if self.kind == "cavity-steady" and (self.reynolds is None or self.reynolds <= 0):
-            raise FieldError("cavity cases require reynolds > 0")
-        if self.kind == "synthetic-transient" and (
-            self.timestep_index is None or self.timestep_index < 0
-        ):
-            raise FieldError("transient cases require a nonnegative timestep index")
-
-
 def _is_pow2(k: int) -> bool:
     return k >= 1 and (k & (k - 1)) == 0
 
@@ -332,15 +308,6 @@ def transient_pair(step: int, period: int, nx: int, ny: int, seed: int):
     return Field2D.from_grid(u), Field2D.from_grid(v)
 
 
-def generate_transient(n_steps: int, period: int, nx: int, ny: int, seed: int):
-    """Sequence of (u_x, u_y) pairs for steps 0..n_steps-1."""
-    if period < 2:
-        raise FieldError("period must be at least 2")
-    if n_steps < period:
-        raise FieldError("n_steps must cover at least one period")
-    return [transient_pair(t, period, nx, ny, seed) for t in range(n_steps)]
-
-
 def write_snapshot_file(fields, path) -> None:
     """Write fields to the binary snapshot format (little-endian).
 
@@ -397,13 +364,6 @@ def read_snapshot_csv(path) -> Field2D:
         return Field2D.from_grid(arr)
     except FieldError as exc:
         raise FieldError(f"{path}: {exc}") from exc
-
-
-def check_ensemble_finite(fields) -> None:
-    """Abort with the offending snapshot index if anything is non-finite."""
-    for k, f in enumerate(fields):
-        if not np.all(np.isfinite(f.values)):
-            raise FieldError(f"snapshot {k}: non-finite value detected")
 
 
 def divergence_interior(u_x: Field2D, u_y: Field2D) -> np.ndarray:

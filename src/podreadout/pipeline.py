@@ -1,4 +1,8 @@
-"""End-to-end orchestration: offline artifacts, shot sweeps, parameter studies.
+"""End-to-end orchestration: offline artifacts, shot sweeps and the two studies.
+
+offline_component is the one offline stage (snapshot matrix, SVD, basis
+count, bond search) for one velocity component; run_offline persists its
+results and run_depth_study repeats it across grid sizes.
 
 All CSV output is deterministic for a given config: fixed row order, fixed
 17-significant-digit float formatting, randomness derived only from the
@@ -14,7 +18,7 @@ import logging
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -36,6 +40,7 @@ PARAM_HEADER = (
     "config_hash,component,parameter,in_ensemble,n_b_case1,e_proj_case1,"
     "n_b_case2,e_proj_case2"
 )
+DEPTH_HEADER = "N,component,n_b,chi_list,two_qubit_gates,depth"
 
 
 def fmt(x: float) -> str:
@@ -135,6 +140,29 @@ class OfflineComponent:
     e_enc_est: float
 
 
+def offline_component(fields, labels, thresholds, chi_cap) -> OfflineComponent:
+    """The offline stage for one velocity component.
+
+    Snapshot matrix, thin SVD, the smallest n_b whose projection estimator
+    clears thresholds[0], then the bond search that brings the encoding
+    estimator under thresholds[1] with every bond at most chi_cap.
+    """
+    proj_thr, enc_thr = thresholds
+    s = pod.build_snapshot_matrix(fields, labels)
+    basis = pod.pod_decompose(s)
+    n_b = pod.select_nb(basis.sigma, s.m, proj_thr)
+    basis = basis.with_nb(n_b)
+    e_proj_est = pod.proj_error_estimator(basis.sigma, s.m, n_b)
+    plan, approximants = mps.search_bond_plan(basis, enc_thr, chi_cap)
+    return OfflineComponent(
+        basis=basis,
+        plan=plan,
+        approximants=approximants,
+        e_proj_est=e_proj_est,
+        e_enc_est=plan.estimated_error,
+    )
+
+
 @dataclass
 class OfflineResult:
     components: dict
@@ -198,47 +226,33 @@ def run_offline(cfg: ExperimentConfig, cache: FieldCache | None = None) -> Offli
         log.info("offline artifacts reused from %s", out_dir)
         return reused
 
-    proj_thr, enc_thr = cfg.thresholds
     ux_fields, uy_fields, labels = ensemble_fields(cfg, cache)
-    flow.check_ensemble_finite(ux_fields)
-    flow.check_ensemble_finite(uy_fields)
 
     components = {}
     manifest = {
         "config_hash": config_hash(cfg),
         "case": cfg.case,
-        "thresholds": [proj_thr, enc_thr],
+        "thresholds": list(cfg.thresholds),
         "components": {},
     }
     for comp, fields in (("ux", ux_fields), ("uy", uy_fields)):
         try:
-            s = pod.build_snapshot_matrix(fields, labels)
-            basis = pod.pod_decompose(s)
-            n_b = pod.select_nb(basis.sigma, s.m, proj_thr)
-            basis = basis.with_nb(n_b)
-            e_proj_est = pod.proj_error_estimator(basis.sigma, s.m, n_b)
-            plan, approximants = mps.search_bond_plan(basis, enc_thr, cfg.chi_cap)
+            art = offline_component(fields, labels, cfg.thresholds, cfg.chi_cap)
         except NumericalError as exc:
             raise NumericalError(f"offline stage, component {comp}: {exc}") from exc
-        components[comp] = OfflineComponent(
-            basis=basis,
-            plan=plan,
-            approximants=approximants,
-            e_proj_est=e_proj_est,
-            e_enc_est=plan.estimated_error,
-        )
-        pod.save_basis(basis, os.path.join(out_dir, f"{comp}_basis.podb"))
-        for i, m in enumerate(approximants):
+        components[comp] = art
+        pod.save_basis(art.basis, os.path.join(out_dir, f"{comp}_basis.podb"))
+        for i, m in enumerate(art.approximants):
             mps.save_mps(m, os.path.join(out_dir, f"{comp}_mps_{i:02d}.podm"))
         files = {
             name: sha256_file(os.path.join(out_dir, name))
-            for name in _component_files(comp, n_b)
+            for name in _component_files(comp, art.basis.n_b)
         }
         manifest["components"][comp] = {
-            "n_b": n_b,
-            "chis": list(plan.chis),
-            "e_proj_est": e_proj_est,
-            "e_enc_est": plan.estimated_error,
+            "n_b": art.basis.n_b,
+            "chis": list(art.plan.chis),
+            "e_proj_est": art.e_proj_est,
+            "e_enc_est": art.e_enc_est,
             "files": files,
         }
     atomic_write_text(
@@ -386,13 +400,15 @@ def default_param_sweep(cfg: ExperimentConfig):
             if 1.0 <= v <= 5000.0 and v not in seen:
                 seen.append(v)
         return tuple(seen)
-    if cfg.problem == "transient":
-        return tuple(range(cfg.window[0], cfg.window[1] + cfg.period + 1))
-    raise ConfigError("param studies need an explicit param_sweep for ingested data")
+    return tuple(range(cfg.window[0], cfg.window[1] + cfg.period + 1))
 
 
 def run_param_study(cfg: ExperimentConfig, cache: FieldCache | None = None):
     """Exact projection error across a parameter sweep at both case settings."""
+    if cfg.problem == "ingested":
+        raise ConfigError(
+            "param-study needs a parameter axis; ingested snapshots have none"
+        )
     cache = cache or FieldCache()
     ux_fields, uy_fields, labels = ensemble_fields(cfg, cache)
     sweep = default_param_sweep(cfg)
@@ -445,33 +461,72 @@ def run_param_study(cfg: ExperimentConfig, cache: FieldCache | None = None):
     return rows
 
 
+def _depth_study_sides(sizes):
+    """Grid side of each total size: a power of two, at least 16, squared."""
+    sides = []
+    for size in sizes:
+        side = math.isqrt(size) if isinstance(size, int) and size > 0 else 0
+        if side < 16 or side * side != size or side & (side - 1):
+            raise ConfigError(
+                f"grid size {size} is not the square of a power of two of at least 16"
+            )
+        sides.append(side)
+    return sides
+
+
 def run_depth_study(cfg: ExperimentConfig, cache: FieldCache | None = None,
                     grid_sizes=None):
-    """Depth scaling study at the case-2 thresholds over cfg.grid_sizes."""
-    cache = cache or FieldCache()
+    """Circuit cost of the offline stage across grid sizes, at case-2 thresholds.
+
+    For each total size N in grid_sizes (default cfg.grid_sizes) the ensemble
+    is rebuilt on a sqrt(N) x sqrt(N) grid and run through offline_component.
+    Each row reports the costliest of the n_b approximants, the per-shot
+    state-preparation upper bound; that is normally the n_b-th basis, though
+    on coarse grids the greedy plan can leave the last basis cheaper than an
+    earlier one.  Writes depth_study.csv into cfg.out_dir.
+    """
+    if cfg.problem == "ingested":
+        raise ConfigError(
+            "depth-study re-solves the ensemble on each grid size; "
+            "ingested snapshots exist at one grid only"
+        )
     sizes = tuple(grid_sizes) if grid_sizes is not None else cfg.grid_sizes
-
-    def make_ensemble(nx, ny):
-        if cfg.problem == "cavity":
-            pairs = [
-                cache.cavity(re, nx, ny, cfg.solver_tol, cfg.max_iters, cfg.lid_speed)
-                for re in cfg.reynolds
-            ]
-            labels = tuple(cfg.reynolds)
-        else:
-            steps = range(cfg.window[0], cfg.window[1] + 1)
-            pairs = [
-                cache.transient(t, cfg.period, nx, ny, cfg.transient_seed)
-                for t in steps
-            ]
-            labels = tuple(steps)
-        return [p[0] for p in pairs], [p[1] for p in pairs], labels
-
+    sides = _depth_study_sides(sizes)
+    cache = cache or FieldCache()
+    rows = []
+    for size, side in zip(sizes, sides):
+        try:
+            ux_fields, uy_fields, labels = ensemble_fields(
+                replace(cfg, nx=side, ny=side), cache
+            )
+            for comp, fields in (("ux", ux_fields), ("uy", uy_fields)):
+                art = offline_component(
+                    fields, labels, CASE_THRESHOLDS["case2"], cfg.chi_cap
+                )
+                cost = max(
+                    (circuit.circuit_cost(m) for m in art.approximants),
+                    key=lambda c: c.depth,
+                )
+                rows.append(
+                    {
+                        "N": size,
+                        "component": comp,
+                        "n_b": art.basis.n_b,
+                        "chi_list": ";".join(str(c) for c in art.plan.chis),
+                        "two_qubit_gates": cost.two_qubit_gate_count,
+                        "depth": cost.depth,
+                    }
+                )
+        except NumericalError as exc:
+            raise NumericalError(f"grid size {size}: {exc}") from exc
     os.makedirs(cfg.out_dir, exist_ok=True)
-    return circuit.depth_vs_gridsize_study(
-        make_ensemble,
-        CASE_THRESHOLDS["case2"],
-        sizes,
-        chi_cap=cfg.chi_cap,
-        csv_path=os.path.join(cfg.out_dir, "depth_study.csv"),
+    write_csv(
+        os.path.join(cfg.out_dir, "depth_study.csv"),
+        DEPTH_HEADER,
+        [
+            f"{r['N']},{r['component']},{r['n_b']},{r['chi_list']},"
+            f"{r['two_qubit_gates']},{r['depth']}"
+            for r in rows
+        ],
     )
+    return rows

@@ -59,15 +59,6 @@ def _check_unit(x, name: str) -> np.ndarray:
     return x
 
 
-def hadamard_p0(x, u_tilde) -> float:
-    """Ancilla |0> probability of the Hadamard test: (1 + <x, u>)/2."""
-    x = _check_unit(x, "x")
-    u_tilde = _check_unit(u_tilde, "u_tilde")
-    if x.shape != u_tilde.shape:
-        raise FieldError(f"length mismatch {x.shape} vs {u_tilde.shape}")
-    return 0.5 * (1.0 + float(x @ u_tilde))
-
-
 def coefficient_from_counts(z0: int, n_shot_basis: int) -> float:
     """Estimated coefficient 2 * z0 / n - 1 from ancilla zero counts."""
     return 2.0 * z0 / n_shot_basis - 1.0

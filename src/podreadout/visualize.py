@@ -14,7 +14,8 @@ import numpy as np
 
 from .errors import FieldError
 from .flow import Field2D
-from .pipeline import atomic_write_text, fmt, harmonized_shots, unit_vector
+from .io_util import atomic_write_text
+from .pipeline import fmt, harmonized_shots, unit_vector
 
 METHOD_LABELS = {"PODR": "PODR", "RSR": "RSR", "FSR": "FSR (idealized)", "truth": "truth"}
 

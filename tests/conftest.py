@@ -131,11 +131,6 @@ def param_rows(cavity_case1_config, cache, cavity_ensemble):
 
 
 @pytest.fixture(scope="session")
-def dip_rows(param_rows):
-    return param_rows
-
-
-@pytest.fixture(scope="session")
 def oracle_256(cache):
     _progress("fine-grid 256x256 reference solve (takes a few minutes)")
     return cache.cavity(100.0, 256, 256, 1e-6, 400_000, 1.0)

@@ -202,7 +202,7 @@ def test_criterion_07_tensor_train_correctness():
     )
 
 
-def test_criterion_08_in_ensemble_dip(dip_rows):
+def test_criterion_08_in_ensemble_dip(param_rows):
     # checked for both components at both case truncation levels; the most
     # favorable combination must reach 8 of 10 strict dips.  Known red on
     # this solver's ensembles: the singular tail at the case-selected n_b
@@ -211,7 +211,7 @@ def test_criterion_08_in_ensemble_dip(dip_rows):
     counts = {}
     for comp in ("ux", "uy"):
         sub = sorted(
-            (r for r in dip_rows if r["component"] == comp),
+            (r for r in param_rows if r["component"] == comp),
             key=lambda r: float(r["parameter"]),
         )
         for col in ("e_proj_case1", "e_proj_case2"):

@@ -7,12 +7,12 @@ from podreadout.circuit import (
     block_two_qubit_count,
     circuit_cost,
     cost_model,
-    depth_vs_gridsize_study,
     staircase_layout,
 )
-from podreadout.errors import FieldError
-from podreadout.flow import generate_transient
+from podreadout.config import ExperimentConfig
+from podreadout.errors import ConfigError, FieldError
 from podreadout.mps import tt_svd
+from podreadout.pipeline import run_depth_study
 
 
 def random_mps(n, chi, seed=0):
@@ -113,27 +113,27 @@ class TestCostModel:
             cost_model([])
 
 
+def depth_config(out_dir):
+    return ExperimentConfig(
+        problem="transient", nx=32, ny=32, window=(0, 11), period=10,
+        target_step=15, transient_seed=3, chi_cap=16, out_dir=str(out_dir),
+    )
+
+
 class TestDepthStudy:
     def test_synthetic_study_emits_rows_and_csv(self, tmp_path):
-        def make_ensemble(nx, ny):
-            pairs = generate_transient(12, 10, nx, ny, seed=3)
-            ux = [p[0] for p in pairs]
-            uy = [p[1] for p in pairs]
-            return ux, uy, tuple(range(12))
-
-        csv_path = tmp_path / "depth.csv"
-        rows = depth_vs_gridsize_study(
-            make_ensemble, (5e-3, 5e-3), [256, 1024], csv_path=csv_path
-        )
+        cfg = depth_config(tmp_path)
+        rows = run_depth_study(cfg, grid_sizes=[256, 1024])
         assert {r["N"] for r in rows} == {256, 1024}
         assert {r["component"] for r in rows} == {"ux", "uy"}
-        text = csv_path.read_text().splitlines()
+        text = (tmp_path / "depth_study.csv").read_text().splitlines()
         assert text[0] == "N,component,n_b,chi_list,two_qubit_gates,depth"
         assert len(text) == 1 + len(rows)
         for comp in ("ux", "uy"):
             nbs = [r["n_b"] for r in rows if r["component"] == comp]
             assert max(nbs) - min(nbs) <= 2
 
-    def test_rejects_non_square_sizes(self):
-        with pytest.raises(FieldError):
-            depth_vs_gridsize_study(lambda nx, ny: None, (1e-2, 1e-2), [512])
+    def test_rejects_non_square_sizes(self, tmp_path):
+        with pytest.raises(ConfigError, match="grid size 512"):
+            run_depth_study(depth_config(tmp_path), grid_sizes=[1024, 512])
+        assert not (tmp_path / "depth_study.csv").exists()

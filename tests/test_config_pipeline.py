@@ -13,13 +13,14 @@ from podreadout.config import (
     load_config,
 )
 from podreadout.errors import ConfigError, NumericalError
-from podreadout.flow import generate_transient, write_snapshot_file
+from podreadout.flow import transient_pair, write_snapshot_file
 from podreadout.pipeline import (
     FieldCache,
     default_param_sweep,
     ensemble_fields,
     harmonized_shots,
     podr_shots,
+    run_depth_study,
     run_offline,
     run_param_study,
     run_shot_sweep,
@@ -159,7 +160,7 @@ class TestOffline:
             run_offline(cfg)
 
     def test_ingested_problem_roundtrip(self, tmp_path):
-        pairs = generate_transient(8, 5, 32, 16, seed=1)
+        pairs = [transient_pair(t, 5, 32, 16, seed=1) for t in range(8)]
         ux_path = tmp_path / "ux.pods"
         uy_path = tmp_path / "uy.pods"
         write_snapshot_file([p[0] for p in pairs], ux_path)
@@ -269,6 +270,19 @@ class TestParamStudy:
         )
         sweep = default_param_sweep(cfg)
         assert sweep == (50.0, 100.0, 150.0, 200.0, 250.0, 300.0, 350.0)
+
+
+class TestDepthStudyOffline:
+    def test_row_at_own_grid_matches_offline_manifest(self, tmp_path):
+        # both commands run offline_component: same n_b and bond plan
+        cfg = transient_config(tmp_path / "out", nx=32, ny=32, case="case2")
+        manifest = run_offline(cfg).manifest
+        rows = run_depth_study(cfg, grid_sizes=[cfg.grid_points])
+        for row in rows:
+            entry = manifest["components"][row["component"]]
+            assert row["n_b"] == entry["n_b"]
+            assert row["chi_list"] == ";".join(str(c) for c in entry["chis"])
+        assert {r["component"] for r in rows} == {"ux", "uy"}
 
 
 class TestDeskTransientWindow:

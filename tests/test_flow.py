@@ -6,9 +6,7 @@ from hypothesis import strategies as st
 from podreadout.errors import ConvergenceError, FieldError, SnapshotFormatError
 from podreadout.flow import (
     Field2D,
-    FlowCase,
     divergence_interior,
-    generate_transient,
     read_snapshot_csv,
     read_snapshot_file,
     solve_cavity,
@@ -39,17 +37,6 @@ class TestField2D:
         # row-major, x fastest
         assert f.values[1] == arr[0, 1]
         assert f.values[4] == arr[1, 0]
-
-
-class TestFlowCase:
-    def test_cavity_needs_reynolds(self):
-        with pytest.raises(FieldError):
-            FlowCase(kind="cavity-steady")
-        FlowCase(kind="cavity-steady", reynolds=100.0)
-
-    def test_unknown_kind(self):
-        with pytest.raises(FieldError):
-            FlowCase(kind="other")
 
 
 @pytest.fixture(scope="module")
@@ -127,9 +114,8 @@ class TestCavity:
 
 class TestTransient:
     def test_exact_periodicity(self):
-        seq = generate_transient(100, 50, 32, 16, seed=3)
-        a10, b10 = seq[10]
-        a60, b60 = seq[60]
+        a10, b10 = transient_pair(10, 50, 32, 16, seed=3)
+        a60, b60 = transient_pair(60, 50, 32, 16, seed=3)
         assert np.array_equal(a10.values, a60.values)
         assert np.array_equal(b10.values, b60.values)
 
@@ -139,8 +125,8 @@ class TestTransient:
             assert np.abs(divergence_interior(ux, uy)).max() <= 1e-12
 
     def test_seed_determinism(self):
-        s1 = generate_transient(60, 50, 32, 32, seed=7)
-        s2 = generate_transient(60, 50, 32, 32, seed=7)
+        s1 = [transient_pair(t, 50, 32, 32, seed=7) for t in range(60)]
+        s2 = [transient_pair(t, 50, 32, 32, seed=7) for t in range(60)]
         for (a1, b1), (a2, b2) in zip(s1, s2):
             assert np.array_equal(a1.values, a2.values)
             assert np.array_equal(b1.values, b2.values)
@@ -149,9 +135,9 @@ class TestTransient:
 
     def test_preconditions(self):
         with pytest.raises(FieldError):
-            generate_transient(10, 1, 32, 32, seed=0)
+            transient_pair(0, 1, 32, 32, seed=0)
         with pytest.raises(FieldError):
-            generate_transient(10, 20, 32, 32, seed=0)
+            transient_pair(-1, 20, 32, 32, seed=0)
 
 
 class TestSnapshotFiles:

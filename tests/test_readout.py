@@ -3,15 +3,15 @@ import math
 import numpy as np
 import pytest
 
+from podreadout import readout
 from podreadout.errors import FieldError
 from podreadout.flow import Field2D
 from podreadout.mps import tt_svd
-from podreadout.pod import build_snapshot_matrix, pod_decompose
+from podreadout.pod import PodBasisSet, build_snapshot_matrix, pod_decompose
 from podreadout.readout import (
     coefficient_from_counts,
     error_budget_check,
     fsr_readout,
-    hadamard_p0,
     podr_readout,
     rsr_readout,
     sample_coefficient,
@@ -30,24 +30,40 @@ def small_problem(n=256, m=6, n_b=4, seed=0, chi=4):
     return basis, apx, x
 
 
-class TestHadamardP0:
-    def test_identical_states(self):
-        x = np.ones(4) / 2.0
-        assert hadamard_p0(x, x) == pytest.approx(1.0, abs=1e-14)
+def podr_p0(monkeypatch, x, u):
+    """Ancilla |0> probability podr_readout hands to the sampler for x against u."""
+    seen = []
 
-    def test_orthogonal_states(self):
+    def spy(p0, n_shot_basis, rng_seed):
+        seen.append(p0)
+        return 0.0
+
+    monkeypatch.setattr(readout, "sample_coefficient", spy)
+    basis = PodBasisSet(u=u[:, None], sigma=np.ones(1), v=np.ones((1, 1)), n_b=1)
+    podr_readout(x, basis, [tt_svd(u, 2)], 1, seed=0)
+    return seen[0]
+
+
+class TestHadamardP0:
+    """The Hadamard-test probability (1 + <x, u>)/2 inside podr_readout."""
+
+    def test_identical_states(self, monkeypatch):
+        x = np.ones(4) / 2.0
+        assert podr_p0(monkeypatch, x, x) == pytest.approx(1.0, abs=1e-14)
+
+    def test_orthogonal_states(self, monkeypatch):
         x = np.array([1.0, 0.0, 0.0, 0.0])
         u = np.array([0.0, 1.0, 0.0, 0.0])
-        assert hadamard_p0(x, u) == pytest.approx(0.5, abs=1e-15)
+        assert podr_p0(monkeypatch, x, u) == pytest.approx(0.5, abs=1e-15)
 
-    def test_overlap_arithmetic(self):
-        x = np.array([1.0, 0.0])
-        u = np.array([0.6, 0.8])
-        assert hadamard_p0(x, u) == pytest.approx(0.8, abs=1e-15)
+    def test_overlap_arithmetic(self, monkeypatch):
+        x = np.array([1.0, 0.0, 0.0, 0.0])
+        u = np.array([0.6, 0.8, 0.0, 0.0])
+        assert podr_p0(monkeypatch, x, u) == pytest.approx(0.8, abs=1e-15)
 
-    def test_norm_deviation_rejected(self):
+    def test_norm_deviation_rejected(self, monkeypatch):
         with pytest.raises(FieldError, match="unit norm"):
-            hadamard_p0(np.array([1.0, 1e-3]), np.array([1.0, 0.0]))
+            podr_p0(monkeypatch, np.array([1.0, 1e-3, 0.0, 0.0]), np.eye(4)[0])
 
 
 class TestSampleCoefficient:

@@ -6,7 +6,13 @@ import pytest
 
 from podreadout.cli import main
 from podreadout.config import ExperimentConfig
-from podreadout.flow import Field2D, read_snapshot_csv, read_snapshot_file, transient_pair
+from podreadout.flow import (
+    Field2D,
+    read_snapshot_csv,
+    read_snapshot_file,
+    transient_pair,
+    write_snapshot_file,
+)
 from podreadout.pipeline import FieldCache, run_offline, target_fields, unit_vector
 from podreadout.visualize import (
     emit_visual_comparison,
@@ -132,6 +138,32 @@ def write_config(tmp_path, **overrides):
     return p
 
 
+def write_problem_config(tmp_path, problem):
+    """A small config of each problem kind; ingested reads 8 32x32 snapshots.
+
+    The ingested config names a param_sweep, so param-study cannot fall back
+    to the missing-sweep error, and has no transient window to borrow.
+    """
+    if problem == "cavity":
+        return write_config(tmp_path, problem="cavity", nx=16, ny=16,
+                            reynolds=[100, 200], target_reynolds=150)
+    if problem == "transient":
+        return write_config(tmp_path)
+    pairs = [transient_pair(t, 8, 32, 32, seed=1) for t in range(8)]
+    for k, comp in enumerate(("ux", "uy")):
+        write_snapshot_file([p[k] for p in pairs], tmp_path / f"{comp}.pods")
+    return write_config(tmp_path, problem="ingested", nx=32, ny=32, window=None,
+                        target_step=None, param_sweep=[0, 3, 6],
+                        snapshot_ux=str(tmp_path / "ux.pods"),
+                        snapshot_uy=str(tmp_path / "uy.pods"), target_index=7)
+
+
+def assert_config_error(tmp_path, capsys, argv):
+    assert main(argv) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not any(p.suffix == ".csv" for p in tmp_path.rglob("*"))
+
+
 class TestCli:
     def test_offline_then_sweep(self, tmp_path, capsys):
         cfg_path = write_config(tmp_path)
@@ -165,6 +197,12 @@ class TestCli:
         assert main(["--config", str(cfg_path), "depth-study",
                      "--sizes", "256,1024"]) == 0
         assert os.path.exists(tmp_path / "out" / "depth_study.csv")
+
+    @pytest.mark.parametrize("sizes", ["512", "abc"])
+    def test_depth_study_bad_sizes_exit_code(self, tmp_path, capsys, sizes):
+        cfg_path = write_config(tmp_path)
+        argv = ["--config", str(cfg_path), "depth-study", "--sizes", sizes]
+        assert_config_error(tmp_path, capsys, argv)
 
     def test_config_error_exit_code(self, tmp_path):
         bad = tmp_path / "bad.json"
@@ -206,3 +244,19 @@ class TestCli:
         assert os.path.exists(alt / "sweep.csv")
         lines = open(alt / "sweep.csv").read().splitlines()[1:]
         assert all(line.split(",")[6] == "5" for line in lines)
+
+
+STUDIES = {"param-study": ["param-study"],
+           "depth-study": ["depth-study", "--sizes", "256,1024"]}
+
+
+@pytest.mark.parametrize("study", STUDIES)
+@pytest.mark.parametrize("problem", ["cavity", "transient", "ingested"])
+def test_every_problem_runs_each_study_or_exits_2(tmp_path, capsys, problem, study):
+    cfg_path = write_problem_config(tmp_path, problem)
+    argv = ["--config", str(cfg_path), *STUDIES[study]]
+    if problem == "ingested":
+        # one grid and no parameter axis: neither study can run
+        assert_config_error(tmp_path, capsys, argv)
+    else:
+        assert main(argv) == 0
