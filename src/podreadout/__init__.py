@@ -21,7 +21,7 @@ from .flow import (
     Field2D,
     read_snapshot_csv,
     read_snapshot_file,
-    solve_cavity,
+    solve_cavity_run,
     transient_pair,
     write_snapshot_file,
 )

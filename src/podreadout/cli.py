@@ -61,7 +61,7 @@ def _load(args):
 
 def _cmd_solve(args):
     cfg = _load(args)
-    cache = pipeline.FieldCache()
+    cache = pipeline.FieldCache.for_config(cfg)
     ux, uy, labels = pipeline.ensemble_fields(cfg, cache)
     tx, ty = pipeline.target_fields(cfg, cache)
     os.makedirs(cfg.out_dir, exist_ok=True)
@@ -90,7 +90,7 @@ def _cmd_readout(args):
     cfg = _load(args)
     shots = args.shots if args.shots is not None else cfg.shot_grid[0]
     cfg = dataclasses.replace(cfg, shot_grid=(shots,), seeds=(cfg.seeds[0],))
-    cache = pipeline.FieldCache()
+    cache = pipeline.FieldCache.for_config(cfg)
     offline = pipeline.run_offline(cfg, cache)
     rows = pipeline.run_shot_sweep(cfg, offline, cache)
     for r in rows:
@@ -102,7 +102,7 @@ def _cmd_readout(args):
 
 def _cmd_sweep(args):
     cfg = _load(args)
-    cache = pipeline.FieldCache()
+    cache = pipeline.FieldCache.for_config(cfg)
     offline = pipeline.run_offline(cfg, cache)
     rows = pipeline.run_shot_sweep(cfg, offline, cache)
     print(f"{len(rows)} sweep cells -> {os.path.join(cfg.out_dir, 'sweep.csv')}")
@@ -132,7 +132,7 @@ def _cmd_depth_study(args):
 
 def _cmd_visualize(args):
     cfg = _load(args)
-    cache = pipeline.FieldCache()
+    cache = pipeline.FieldCache.for_config(cfg)
     offline = pipeline.run_offline(cfg, cache)
     shots = visualize.visual_shot_budget(cfg, offline, args.shots)
     if shots != args.shots:

@@ -135,8 +135,12 @@ def config_from_dict(doc: dict) -> ExperimentConfig:
     kwargs = dict(doc)
     for key in ("methods", "shot_grid", "seeds", "reynolds", "window",
                 "param_sweep", "grid_sizes"):
-        if key in kwargs and kwargs[key] is not None:
-            kwargs[key] = tuple(kwargs[key])
+        value = kwargs.get(key)
+        if value is None:
+            continue
+        if not isinstance(value, (list, tuple)):
+            raise ConfigError(f"{key} must be a list, got {value!r}")
+        kwargs[key] = tuple(value)
     try:
         cfg = ExperimentConfig(**kwargs)
     except TypeError as exc:

@@ -255,12 +255,6 @@ def solve_cavity_run(
     )
 
 
-def solve_cavity(re, nx, ny, tol=1e-6, max_iters=400_000, lid_speed=1.0, encode_bound=True):
-    """Steady cavity velocity fields (u_x, u_y); see solve_cavity_run."""
-    run = solve_cavity_run(re, nx, ny, tol, max_iters, lid_speed, encode_bound)
-    return run.u_x, run.u_y
-
-
 # Traveling-vortex surrogate: fixed irrational wavenumbers in x keep the
 # spatial frequencies incommensurate; integer windings share one period.
 _MODE_FREQ_X = (math.sqrt(2.0), math.sqrt(3.0), math.sqrt(5.0), math.sqrt(7.0))

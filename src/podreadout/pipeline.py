@@ -13,18 +13,21 @@ is always 0.
 
 from __future__ import annotations
 
+import functools
+import hashlib
 import json
 import logging
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
+from pathlib import Path
 
 import numpy as np
 
 from . import circuit, flow, mps, pod, readout
 from .config import CASE_THRESHOLDS, ExperimentConfig, config_hash
-from .errors import ConfigError, FieldError, NumericalError
+from .errors import ConfigError, FieldError, NumericalError, SnapshotFormatError
 from .io_util import atomic_write_text, sha256_file
 
 log = logging.getLogger("podreadout")
@@ -51,21 +54,77 @@ def write_csv(path, header: str, rows) -> None:
     atomic_write_text(path, "\n".join([header, *rows]) + "\n")
 
 
-class FieldCache:
-    """Memoizes cavity solves and transient snapshots across pipeline stages."""
+@functools.cache
+def _solver_digest() -> str:
+    """sha256 of the solver source: an edited solver never meets old fields."""
+    return sha256_file(flow.__file__)
 
-    def __init__(self):
+
+def cavity_field_key(re, nx, ny, tol, max_iters, lid_speed) -> str:
+    """Store key of one cavity solve: a digest of everything that decides it."""
+    doc = ["cavity", float(re), int(nx), int(ny), float(tol), int(max_iters),
+           float(lid_speed), _solver_digest()]
+    return hashlib.sha256(json.dumps(doc).encode()).hexdigest()
+
+
+def _load_stored_pair(path, nx, ny):
+    """The stored (u_x, u_y) pair, or None when it must be solved (again)."""
+    try:
+        fields = flow.read_snapshot_file(path)
+    except FileNotFoundError:
+        return None
+    except (OSError, SnapshotFormatError, FieldError) as exc:
+        log.warning("unreadable field store file %s (%s); solving again", path, exc)
+        return None
+    grids = [(f.nx, f.ny) for f in fields]
+    if grids != [(nx, ny)] * 2:
+        log.warning(
+            "field store file %s holds grids %s, expected two %dx%d; solving again",
+            path, grids, nx, ny,
+        )
+        return None
+    return fields[0], fields[1]
+
+
+class FieldCache:
+    """Memoizes cavity solves and transient snapshots across pipeline stages.
+
+    Cavity solves also persist in store_dir, one .pods file per solve named by
+    cavity_field_key, so later runs load them instead of solving again.  The
+    directory is made on the first write.  Transient snapshots are analytic
+    and stay in memory.
+    """
+
+    def __init__(self, store_dir):
+        self.store_dir = store_dir
         self._cavity = {}
         self._transient = {}
 
+    @classmethod
+    def for_config(cls, cfg: ExperimentConfig) -> "FieldCache":
+        return cls(os.path.join(cfg.out_dir, "fields"))
+
     def cavity(self, re, nx, ny, tol, max_iters, lid_speed):
         key = (float(re), nx, ny, float(tol), max_iters, float(lid_speed))
-        if key not in self._cavity:
-            log.info("cavity solve Re=%g on %dx%d", re, nx, ny)
-            self._cavity[key] = flow.solve_cavity(
+        if key in self._cavity:
+            return self._cavity[key]
+        path = os.path.join(self.store_dir, cavity_field_key(*key) + ".pods")
+        pair = _load_stored_pair(path, nx, ny)
+        if pair is not None:
+            log.info("cavity Re=%g on %dx%d loaded from store", re, nx, ny)
+        else:
+            run = flow.solve_cavity_run(
                 re, nx, ny, tol=tol, max_iters=max_iters, lid_speed=lid_speed
             )
-        return self._cavity[key]
+            log.info(
+                "cavity Re=%g on %dx%d solved in %d iterations, final residual %.3e",
+                re, nx, ny, run.iterations, run.residuals[-1],
+            )
+            pair = (run.u_x, run.u_y)
+            os.makedirs(self.store_dir, exist_ok=True)
+            flow.write_snapshot_file(pair, path)
+        self._cavity[key] = pair
+        return pair
 
     def transient(self, step, period, nx, ny, seed):
         key = (int(step), int(period), nx, ny, int(seed))
@@ -176,14 +235,25 @@ def _component_files(comp: str, n_b: int):
         yield f"{comp}_mps_{i:02d}.podm"
 
 
+def _snapshot_digests(cfg):
+    """Content digests of an ingested config's snapshot files.
+
+    The config hash covers the paths only; these make offline reuse notice
+    files rewritten in place.
+    """
+    return {"ux": sha256_file(cfg.snapshot_ux), "uy": sha256_file(cfg.snapshot_uy)}
+
+
 def _try_reuse(cfg, out_dir, manifest_path):
-    if not os.path.exists(manifest_path):
-        return None
     try:
-        manifest = json.loads(open(manifest_path).read())
+        manifest = json.loads(Path(manifest_path).read_text())
     except (OSError, json.JSONDecodeError):
         return None
     if manifest.get("config_hash") != config_hash(cfg):
+        return None
+    if cfg.problem == "ingested" and (
+        manifest.get("snapshot_sha256") != _snapshot_digests(cfg)
+    ):
         return None
     components = {}
     for comp in COMPONENTS:
@@ -217,7 +287,7 @@ def run_offline(cfg: ExperimentConfig, cache: FieldCache | None = None) -> Offli
     A rerun whose config hash and file hashes match loads everything back
     instead of recomputing.
     """
-    cache = cache or FieldCache()
+    cache = cache or FieldCache.for_config(cfg)
     out_dir = cfg.out_dir
     os.makedirs(out_dir, exist_ok=True)
     manifest_path = os.path.join(out_dir, "manifest.json")
@@ -226,15 +296,17 @@ def run_offline(cfg: ExperimentConfig, cache: FieldCache | None = None) -> Offli
         log.info("offline artifacts reused from %s", out_dir)
         return reused
 
-    ux_fields, uy_fields, labels = ensemble_fields(cfg, cache)
-
-    components = {}
     manifest = {
         "config_hash": config_hash(cfg),
         "case": cfg.case,
         "thresholds": list(cfg.thresholds),
         "components": {},
     }
+    if cfg.problem == "ingested":  # hashed before reading: a rewrite never goes unseen
+        manifest["snapshot_sha256"] = _snapshot_digests(cfg)
+    ux_fields, uy_fields, labels = ensemble_fields(cfg, cache)
+
+    components = {}
     for comp, fields in (("ux", ux_fields), ("uy", uy_fields)):
         try:
             art = offline_component(fields, labels, cfg.thresholds, cfg.chi_cap)
@@ -308,7 +380,7 @@ def run_shot_sweep(cfg: ExperimentConfig, offline: OfflineResult,
     Writes sweep.csv (one row per cell) and sweep_medians.csv (per-method
     median curves) into cfg.out_dir; returns the raw rows as dicts.
     """
-    cache = cache or FieldCache()
+    cache = cache or FieldCache.for_config(cfg)
     tx, ty = target_fields(cfg, cache)
     targets = {"ux": unit_vector(tx), "uy": unit_vector(ty)}
     h = config_hash(cfg)
@@ -409,7 +481,7 @@ def run_param_study(cfg: ExperimentConfig, cache: FieldCache | None = None):
         raise ConfigError(
             "param-study needs a parameter axis; ingested snapshots have none"
         )
-    cache = cache or FieldCache()
+    cache = cache or FieldCache.for_config(cfg)
     ux_fields, uy_fields, labels = ensemble_fields(cfg, cache)
     sweep = default_param_sweep(cfg)
     h = config_hash(cfg)
@@ -492,7 +564,7 @@ def run_depth_study(cfg: ExperimentConfig, cache: FieldCache | None = None,
         )
     sizes = tuple(grid_sizes) if grid_sizes is not None else cfg.grid_sizes
     sides = _depth_study_sides(sizes)
-    cache = cache or FieldCache()
+    cache = cache or FieldCache.for_config(cfg)
     rows = []
     for size, side in zip(sizes, sides):
         try:

@@ -46,8 +46,8 @@ def _progress(msg):
 
 
 @pytest.fixture(scope="session")
-def cache():
-    return FieldCache()
+def cache(tmp_path_factory):
+    return FieldCache(str(tmp_path_factory.mktemp("fields")))
 
 
 def _cavity_config(case, out_dir, **overrides):

@@ -260,7 +260,7 @@ def test_criterion_10_byte_determinism(tmp_path):
     artifacts = ("sweep.csv", "sweep_medians.csv", "param_study.csv", "manifest.json")
 
     def run(cfg):
-        cache = FieldCache()
+        cache = FieldCache.for_config(cfg)
         offline = run_offline(cfg, cache)
         run_shot_sweep(cfg, offline, cache)
         run_param_study(cfg, cache)

@@ -118,7 +118,7 @@ class TestShotHelpers:
 class TestOffline:
     def test_offline_persists_and_reuses(self, tmp_path):
         cfg = transient_config(tmp_path / "out")
-        cache = FieldCache()
+        cache = FieldCache.for_config(cfg)
         first = run_offline(cfg, cache)
         assert not first.reused
         manifest_path = os.path.join(cfg.out_dir, "manifest.json")
@@ -170,16 +170,41 @@ class TestOffline:
             snapshot_uy=str(uy_path), target_index=7, chi_cap=8,
             out_dir=str(tmp_path / "out"), shot_grid=(1000,), seeds=(0,),
         )
-        ux, uy, labels = ensemble_fields(cfg, FieldCache())
+        ux, uy, labels = ensemble_fields(cfg, FieldCache.for_config(cfg))
         assert len(ux) == 7 and 7 not in labels
         res = run_offline(cfg)
         assert set(res.components) == {"ux", "uy"}
 
 
+    def test_ingested_reuse_follows_file_content(self, tmp_path):
+        paths = (tmp_path / "ux.pods", tmp_path / "uy.pods")
+
+        def ingest(seed):
+            pairs = [transient_pair(t, 5, 32, 16, seed=seed) for t in range(8)]
+            for k, path in enumerate(paths):
+                write_snapshot_file([p[k] for p in pairs], path)
+
+        ingest(seed=1)
+        cfg = ExperimentConfig(
+            problem="ingested", nx=32, ny=16, snapshot_ux=str(paths[0]),
+            snapshot_uy=str(paths[1]), target_index=7, chi_cap=8,
+            out_dir=str(tmp_path / "out"), shot_grid=(1000,), seeds=(0,),
+        )
+        first = run_offline(cfg)
+        assert run_offline(cfg).reused
+        ingest(seed=2)  # same paths, new snapshots
+        second = run_offline(cfg)
+        assert not second.reused
+        assert not np.array_equal(
+            first.components["ux"].basis.u, second.components["ux"].basis.u
+        )
+        assert run_offline(cfg).reused
+
+
 class TestSweep:
     def test_sweep_csv_schema_and_determinism(self, tmp_path):
         cfg = transient_config(tmp_path / "out")
-        cache = FieldCache()
+        cache = FieldCache.for_config(cfg)
         offline = run_offline(cfg, cache)
         rows = run_shot_sweep(cfg, offline, cache)
         assert len(rows) == 2 * 3 * 2 * 2  # comps x methods x budgets x seeds
@@ -201,7 +226,7 @@ class TestSweep:
 
     def test_podr_budget_rounded_to_nb_multiple(self, tmp_path):
         cfg = transient_config(tmp_path / "out", shot_grid=(1001,), seeds=(0,))
-        cache = FieldCache()
+        cache = FieldCache.for_config(cfg)
         offline = run_offline(cfg, cache)
         n_b = offline.components["ux"].basis.n_b
         rows = run_shot_sweep(cfg, offline, cache)
@@ -213,7 +238,7 @@ class TestSweep:
     def test_threads_do_not_change_results(self, tmp_path):
         cfg1 = transient_config(tmp_path / "o1")
         cfg4 = dataclasses.replace(cfg1, out_dir=str(tmp_path / "o4"), threads=4)
-        cache = FieldCache()
+        cache = FieldCache.for_config(cfg1)
         off1 = run_offline(cfg1, cache)
         off4 = run_offline(cfg4, cache)
         run_shot_sweep(cfg1, off1, cache)
@@ -227,7 +252,7 @@ class TestSweep:
             tmp_path / "out", shot_grid=(1_000, 10_000, 100_000),
             seeds=(0, 1, 2, 3, 4),
         )
-        cache = FieldCache()
+        cache = FieldCache.for_config(cfg)
         offline = run_offline(cfg, cache)
         rows = run_shot_sweep(cfg, offline, cache)
         for comp in ("ux", "uy"):
@@ -243,7 +268,7 @@ class TestSweep:
 class TestParamStudy:
     def test_transient_study_covers_window_and_beyond(self, tmp_path):
         cfg = transient_config(tmp_path / "out")
-        rows = run_param_study(cfg, FieldCache())
+        rows = run_param_study(cfg, FieldCache.for_config(cfg))
         params = sorted({r["parameter"] for r in rows})
         assert params[0] == 0 and params[-1] == 30
         in_flags = {r["parameter"]: r["in_ensemble"] for r in rows}
@@ -258,7 +283,7 @@ class TestParamStudy:
     def test_post_window_steps_stay_representable(self, tmp_path):
         # exact periodicity means later steps project like in-window ones
         cfg = transient_config(tmp_path / "out")
-        rows = run_param_study(cfg, FieldCache())
+        rows = run_param_study(cfg, FieldCache.for_config(cfg))
         post = [r for r in rows if r["component"] == "ux" and r["parameter"] > 20]
         assert post
         assert all(r["e_proj_case1"] <= 5 * 5e-3 for r in post)

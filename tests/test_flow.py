@@ -9,7 +9,6 @@ from podreadout.flow import (
     divergence_interior,
     read_snapshot_csv,
     read_snapshot_file,
-    solve_cavity,
     solve_cavity_run,
     transient_pair,
     write_snapshot_file,
@@ -65,10 +64,10 @@ class TestCavity:
         assert np.abs(divergence_interior(ux, uy)).max() <= 10 * TOL
 
     def test_determinism_bitwise(self):
-        a = solve_cavity(150.0, 32, 32, tol=1e-5)
-        b = solve_cavity(150.0, 32, 32, tol=1e-5)
-        assert np.array_equal(a[0].values, b[0].values)
-        assert np.array_equal(a[1].values, b[1].values)
+        a = solve_cavity_run(150.0, 32, 32, tol=1e-5)
+        b = solve_cavity_run(150.0, 32, 32, tol=1e-5)
+        assert np.array_equal(a.u_x.values, b.u_x.values)
+        assert np.array_equal(a.u_y.values, b.u_y.values)
 
     def test_residual_tail_monotone(self):
         run = solve_cavity_run(400.0, 32, 32, tol=1e-6)
@@ -78,15 +77,15 @@ class TestCavity:
 
     def test_non_convergence_carries_residual(self):
         with pytest.raises(ConvergenceError) as err:
-            solve_cavity(100.0, 32, 32, tol=1e-12, max_iters=50)
+            solve_cavity_run(100.0, 32, 32, tol=1e-12, max_iters=50)
         assert err.value.iterations == 50
         assert err.value.residual > 1e-12
 
     def test_rejects_bad_inputs(self):
         with pytest.raises(FieldError):
-            solve_cavity(0.5, 32, 32)
+            solve_cavity_run(0.5, 32, 32)
         with pytest.raises(FieldError):
-            solve_cavity(100.0, 48, 48)  # not a power of two
+            solve_cavity_run(100.0, 48, 48)  # not a power of two
         solve_cavity_run(100.0, 48, 48, tol=1e-4, encode_bound=False)
 
     @pytest.mark.slow

@@ -63,7 +63,7 @@ def tiny_setup(tmp_path_factory):
         target_step=20, chi_cap=8, out_dir=str(out), seeds=(0,),
         shot_grid=(1000,),
     )
-    cache = FieldCache()
+    cache = FieldCache.for_config(cfg)
     offline = run_offline(cfg, cache)
     return cfg, cache, offline
 
@@ -202,6 +202,11 @@ class TestCli:
     def test_depth_study_bad_sizes_exit_code(self, tmp_path, capsys, sizes):
         cfg_path = write_config(tmp_path)
         argv = ["--config", str(cfg_path), "depth-study", "--sizes", sizes]
+        assert_config_error(tmp_path, capsys, argv)
+
+    def test_scalar_list_key_exit_code(self, tmp_path, capsys):
+        cfg_path = write_config(tmp_path, grid_sizes=1024)
+        argv = ["--config", str(cfg_path), "depth-study"]
         assert_config_error(tmp_path, capsys, argv)
 
     def test_config_error_exit_code(self, tmp_path):
