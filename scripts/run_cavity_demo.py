@@ -2,7 +2,7 @@
 """End-to-end cavity demo: offline stage, shot sweep, and solution panels.
 
 Runs the case-1 desk configuration (64x64 grid, ten Reynolds numbers) and
-leaves CSV/SVG output under out/cavity_case1.  Expect about half a minute
+leaves CSV/SVG output under out/cavity_case1.  Expect about three seconds
 for the eleven steady solves (ten Reynolds numbers and the target) on the
 first run.  Reruns skip every solve: the offline artifacts are reused and the
 fields load from out/cavity_case1/fields/.

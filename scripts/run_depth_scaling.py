@@ -2,7 +2,7 @@
 """Depth-vs-grid-size study on the cavity ensemble (case-2 thresholds).
 
 Grid sizes 32^2 and 64^2 by default; pass e.g. --sizes 1024,4096,16384 to
-add the 128^2 point (a few extra minutes of solver time).
+add the 128^2 point (about half a minute of extra solver time).
 """
 
 import pathlib

@@ -157,13 +157,13 @@ def _cmd_visualize(args):
 def _cmd_ingest(args):
     inputs = args.inputs
     if len(inputs) == 1 and inputs[0].endswith(".pods") and not args.to:
-        fields = flow.read_snapshot_file(inputs[0])
+        fields = pipeline.read_input(flow.read_snapshot_file, inputs[0])
         print(f"{inputs[0]}: {len(fields)} snapshots on "
               f"{fields[0].nx}x{fields[0].ny}")
         return 0
     if not args.to:
         raise ConfigError("CSV ingestion needs --to OUTPUT.pods")
-    fields = [flow.read_snapshot_csv(p) for p in inputs]
+    fields = [pipeline.read_input(flow.read_snapshot_csv, p) for p in inputs]
     flow.write_snapshot_file(fields, args.to)
     print(f"wrote {len(fields)} snapshots to {args.to}")
     return 0

@@ -3,8 +3,9 @@
 Three sources of velocity fields live here:
 
 * a steady lid-driven cavity solver (vorticity-streamfunction form,
-  second-order central differences, red-black SOR for the Poisson solve,
-  pseudo-time marching to steady state),
+  second-order central differences, Thom wall vorticity) that runs Newton's
+  method with block-tridiagonal elimination on the discrete steady
+  equations, continued in Reynolds number along a fixed ladder,
 * a synthetic time-periodic ensemble built from an analytic stream
   function (four traveling vortex modes), and
 * a binary/CSV ingestion path for externally computed snapshots.
@@ -76,7 +77,11 @@ def _is_pow2(k: int) -> bool:
 
 @dataclass
 class CavityRun:
-    """Full solver output: velocity fields plus convergence diagnostics."""
+    """Full solver output: velocity fields plus convergence diagnostics.
+
+    residuals[k] is the residual after k Newton steps; iterations counts the
+    steps of this solve alone, not those of the ladder solve it started from.
+    """
 
     u_x: Field2D
     u_y: Field2D
@@ -86,115 +91,117 @@ class CavityRun:
     iterations: int
 
 
-def _interp_axis(arr: np.ndarray, n_dst: int, axis: int) -> np.ndarray:
-    """Linear interpolation from one node grid to another along one axis."""
-    n_src = arr.shape[axis]
-    src = np.linspace(0.0, 1.0, n_src)
-    dst = np.linspace(0.0, 1.0, n_dst)
-    idx = np.clip(np.searchsorted(src, dst) - 1, 0, n_src - 2)
-    w = (dst - src[idx]) / (src[idx + 1] - src[idx])
-    a = np.moveaxis(arr, axis, 0)
-    out = a[idx] * (1.0 - w)[:, None] + a[idx + 1] * w[:, None]
-    return np.moveaxis(out, 0, axis)
+# Reynolds continuation: a solve at Re starts from the solution at the largest
+# multiple of _LADDER_STEP below Re.  Solved ladder points are kept for the
+# life of the process, keyed by everything that decides them.
+_LADDER_STEP = 100
+_ladder = {}
 
 
-def _prolong(field: np.ndarray, ny: int, nx: int) -> np.ndarray:
-    return _interp_axis(_interp_axis(field, ny, 0), nx, 1)
+def _residuals(psi, omega, nu, dx, dy, lid):
+    """Set the Thom wall vorticity (lid on the top row); return the interior
+    Poisson and transport residuals, velocities and vorticity gradients."""
+    cx, cy = 1.0 / (dx * dx), 1.0 / (dy * dy)
+    omega[0, :] = -2.0 * psi[1, :] * cy
+    omega[-1, :] = -2.0 * psi[-2, :] * cy - 2.0 * lid / dy
+    omega[:, 0] = -2.0 * psi[:, 1] * cx
+    omega[:, -1] = -2.0 * psi[:, -2] * cx
+
+    def lap(f):
+        c = 2.0 * f[1:-1, 1:-1]
+        return (f[1:-1, 2:] - c + f[1:-1, :-2]) * cx + (f[2:, 1:-1] - c + f[:-2, 1:-1]) * cy
+
+    u = (psi[2:, 1:-1] - psi[:-2, 1:-1]) / (2.0 * dy)
+    v = -(psi[1:-1, 2:] - psi[1:-1, :-2]) / (2.0 * dx)
+    wx = (omega[1:-1, 2:] - omega[1:-1, :-2]) / (2.0 * dx)
+    wy = (omega[2:, 1:-1] - omega[:-2, 1:-1]) / (2.0 * dy)
+    return lap(psi) + omega[1:-1, 1:-1], nu * lap(omega) - (u * wx + v * wy), u, v, wx, wy
 
 
-def _interior_blocks(ny, nx):
-    """Checkerboard slices for red-black SOR: (rows, cols, row+-1, col+-1)."""
-    blocks = []
-    for j0, i0 in ((1, 1), (2, 2), (1, 2), (2, 1)):
-        blocks.append((
-            slice(j0, ny - 1, 2), slice(i0, nx - 1, 2),
-            slice(j0 - 1, ny - 2, 2), slice(j0 + 1, ny, 2),
-            slice(i0 - 1, nx - 2, 2), slice(i0 + 1, nx, 2),
-        ))
-    return blocks
+def _newton_step(f_poisson, f_transport, u, v, wx, wy, nu, dx, dy, store):
+    """Solve J delta = F for the interior (psi, omega) by block-Thomas elimination.
+
+    One interior row's psi and omega form one block of unknowns, so J is block
+    tridiagonal; the Thom wall terms fold into the diagonal blocks.  store
+    (rows, 2m, 2m) receives the eliminated upper blocks."""
+    n, m = f_poisson.shape
+    cx, cy = 1.0 / (dx * dx), 1.0 / (dy * dy)
+    # derivatives of the transport residual by the neighbours' omega and psi
+    w_west, w_east = nu * cx + u / (2.0 * dx), nu * cx - u / (2.0 * dx)
+    w_south, w_north = nu * cy + v / (2.0 * dy), nu * cy - v / (2.0 * dy)
+    p_west, p_east = -wy / (2.0 * dx), wy / (2.0 * dx)
+    p_south, p_north = wx / (2.0 * dy), -wx / (2.0 * dy)
+    p_diag = np.zeros((n, m))  # through the wall vorticity beside each wall
+    p_diag[:, 0] -= 2.0 * cx * w_west[:, 0]
+    p_diag[:, -1] -= 2.0 * cx * w_east[:, -1]
+    p_diag[0, :] -= 2.0 * cy * w_south[0, :]
+    p_diag[-1, :] -= 2.0 * cy * w_north[-1, :]
+
+    i = np.arange(m)
+    t = m + i  # transport rows and omega columns of a block
+    fixed = np.zeros((2 * m, 2 * m))  # the entries every diagonal block shares
+    fixed[i, i] = -2.0 * (cx + cy)
+    fixed[i[:-1], i[1:]] = fixed[i[1:], i[:-1]] = cx
+    fixed[i, t] = 1.0
+    fixed[t, t] = -2.0 * nu * (cx + cy)
+
+    r = np.concatenate([f_poisson, f_transport], axis=1)
+    for j in range(n):
+        a = fixed.copy()
+        a[t, i] = p_diag[j]
+        a[t[1:], i[:-1]] = p_west[j, 1:]
+        a[t[:-1], i[1:]] = p_east[j, :-1]
+        a[t[1:], t[:-1]] = w_west[j, 1:]
+        a[t[:-1], t[1:]] = w_east[j, :-1]
+        if j:
+            c, g = store[j - 1], r[j - 1]
+            a[:m] -= cy * c[:m]
+            a[m:] -= p_south[j][:, None] * c[:m] + w_south[j][:, None] * c[m:]
+            r[j, :m] -= cy * g[:m]
+            r[j, m:] -= p_south[j] * g[:m] + w_south[j] * g[m:]
+        # [upper block | right-hand side]; the last row's upper block would
+        # couple to the lid row, which holds no unknowns, and goes unused
+        b = np.zeros((2 * m, 2 * m + 1))
+        b[i, i] = cy
+        b[t, i] = p_north[j]
+        b[t, t] = w_north[j]
+        b[:, -1] = r[j]
+        x = np.linalg.solve(a, b)
+        store[j] = x[:, :-1]
+        r[j] = x[:, -1]
+    for j in range(n - 2, -1, -1):
+        r[j] -= store[j] @ r[j + 1]
+    return r[:, :m], r[:, m:]
 
 
-def _sor_sweep(psi, rhs, cx, cy, inv_denom, w, blocks):
-    """One red-black SOR sweep for lap(psi) = -rhs on the interior."""
-    for rows, cols, rows_m, rows_p, cols_m, cols_p in blocks:
-        p = psi[rows, cols]
-        gs = (
-            cx * (psi[rows, cols_m] + psi[rows, cols_p])
-            + cy * (psi[rows_m, cols] + psi[rows_p, cols])
-            + rhs[rows, cols]
-        ) * inv_denom
-        psi[rows, cols] = p + w * (gs - p)
-
-
-def _march(re, nx, ny, tol, max_iters, lid, psi0=None, omega0=None, sor_sweeps=2):
-    dx = 1.0 / (nx - 1)
-    dy = 1.0 / (ny - 1)
-    nu = 1.0 / re
-    dt_diff = 0.5 * dx * dx * dy * dy / (nu * (dx * dx + dy * dy))
-    dt_adv = min(dx, dy) / max(abs(lid), 1e-12)
-    # transient overshoots shrink the stability margin once the cell
-    # Reynolds number gets large (coarse grid, high Re)
-    cell_re = re * abs(lid) * max(dx, dy)
-    safety = 0.8 if cell_re <= 20.0 else 0.4
-    dt = safety * min(dt_diff, dt_adv)
-
-    psi = np.zeros((ny, nx)) if psi0 is None else psi0.copy()
-    omega = np.zeros((ny, nx)) if omega0 is None else omega0.copy()
-    psi[0, :] = psi[-1, :] = 0.0
-    psi[:, 0] = psi[:, -1] = 0.0
-
-    cx = 1.0 / (dx * dx)
-    cy = 1.0 / (dy * dy)
-    inv_denom = 1.0 / (2.0 * (cx + cy))
-    # SOR factor for the 5-point Laplacian on this grid
-    rho_j = (math.cos(math.pi / (nx - 1)) + (dx / dy) ** 2 * math.cos(math.pi / (ny - 1))) / (
-        1.0 + (dx / dy) ** 2
-    )
-    w_sor = 2.0 / (1.0 + math.sqrt(max(1.0 - rho_j * rho_j, 0.0)))
-    blocks = _interior_blocks(ny, nx)
-
-    residuals = np.empty(max_iters)
-    it = 0
-    for it in range(1, max_iters + 1):
-        # a couple of warm-started sweeps per pseudo-step track the slowly
-        # drifting vorticity closely enough; psi converges jointly with omega
-        for _ in range(sor_sweeps):
-            _sor_sweep(psi, omega, cx, cy, inv_denom, w_sor, blocks)
-
-        # wall vorticity (Thom), lid moves along the top row
-        omega[0, :] = 2.0 * (psi[0, :] - psi[1, :]) * cy
-        omega[-1, :] = 2.0 * (psi[-1, :] - psi[-2, :]) * cy - 2.0 * lid / dy
-        omega[:, 0] = 2.0 * (psi[:, 0] - psi[:, 1]) * cx
-        omega[:, -1] = 2.0 * (psi[:, -1] - psi[:, -2]) * cx
-
-        u = (psi[2:, 1:-1] - psi[:-2, 1:-1]) / (2.0 * dy)
-        v = -(psi[1:-1, 2:] - psi[1:-1, :-2]) / (2.0 * dx)
-        dwdx = (omega[1:-1, 2:] - omega[1:-1, :-2]) / (2.0 * dx)
-        dwdy = (omega[2:, 1:-1] - omega[:-2, 1:-1]) / (2.0 * dy)
-        lap = (omega[1:-1, 2:] - 2.0 * omega[1:-1, 1:-1] + omega[1:-1, :-2]) * cx + (
-            omega[2:, 1:-1] - 2.0 * omega[1:-1, 1:-1] + omega[:-2, 1:-1]
-        ) * cy
-        rate = nu * lap - (u * dwdx + v * dwdy)
-        omega[1:-1, 1:-1] += dt * rate
-
-        res = float(np.abs(rate).max())
-        residuals[it - 1] = res
-        if not math.isfinite(res):
-            raise ConvergenceError(
-                f"cavity solve diverged at Re={re} on {nx}x{ny} (iteration {it})",
-                residual=res,
-                iterations=it,
-            )
+def _newton(re, nx, ny, tol, max_iters, lid, start):
+    """Newton iteration from start (None: rest) until the residual is <= tol."""
+    dx, dy, nu = 1.0 / (nx - 1), 1.0 / (ny - 1), 1.0 / re
+    psi, omega = np.zeros((2, ny, nx)) if start is None else np.copy(start)
+    store = np.empty((ny - 2, 2 * (nx - 2), 2 * (nx - 2)))
+    residuals = []
+    for it in range(max_iters + 1):
+        f_poisson, f_transport, u, v, wx, wy = _residuals(psi, omega, nu, dx, dy, lid)
+        res = float(max(np.abs(f_poisson).max(), np.abs(f_transport).max()))
+        residuals.append(res)
         if res <= tol:
-            break
-    else:
+            return psi, omega, u, v, np.array(residuals)
+        if not math.isfinite(res):
+            why = "diverged"
+        elif it == max_iters:
+            why = f"did not reach tol={tol:g} within {max_iters} Newton steps"
+        else:
+            try:
+                d_psi, d_omega = _newton_step(
+                    f_poisson, f_transport, u, v, wx, wy, nu, dx, dy, store)
+            except np.linalg.LinAlgError:
+                why = f"met a singular Jacobian block in Newton step {it + 1}"
+            else:
+                psi[1:-1, 1:-1] -= d_psi
+                omega[1:-1, 1:-1] -= d_omega
+                continue
         raise ConvergenceError(
-            f"cavity solve did not reach tol={tol:g} within {max_iters} iterations "
-            f"(final residual {residuals[max_iters - 1]:.3e})",
-            residual=float(residuals[max_iters - 1]),
-            iterations=max_iters,
-        )
-    return psi, omega, residuals[:it].copy(), it
+            f"cavity solve at Re={re} on {nx}x{ny} {why} (residual {res:.3e})", res, it)
 
 
 def solve_cavity_run(
@@ -208,10 +215,12 @@ def solve_cavity_run(
 ) -> CavityRun:
     """Solve the steady lid-driven cavity and keep the diagnostics.
 
-    Grids of 128 nodes or more per side are warm-started from a solve at
-    half resolution (grid sequencing); the final march still satisfies the
-    requested residual tolerance on the target grid.  Deterministic for
-    fixed inputs.
+    Newton's method on the discrete steady equations, stopped once the
+    largest interior residual is at most tol; max_iters bounds the Newton
+    steps.  A solve at Re starts from the solution at the largest multiple
+    of 100 below Re (solved first if this process has not solved it yet),
+    or from rest at Re <= 100.  That start never depends on what was solved
+    before, so the result is a pure function of the arguments, bit for bit.
     """
     if not (1.0 <= re <= 5000.0):
         raise FieldError(f"reynolds {re} outside supported range [1, 5000]")
@@ -225,34 +234,21 @@ def solve_cavity_run(
             "encode_bound=False for grids that will not be encoded"
         )
 
-    psi0 = omega0 = None
-    if nx >= 128 and ny >= 128 and nx % 2 == 0 and ny % 2 == 0:
-        coarse = solve_cavity_run(
-            re, nx // 2, ny // 2, tol=tol, max_iters=max_iters,
-            lid_speed=lid_speed, encode_bound=False,
-        )
-        psi0 = _prolong(coarse.psi, ny, nx)
-        omega0 = _prolong(coarse.omega, ny, nx)
-        psi0[0, :] = psi0[-1, :] = 0.0
-        psi0[:, 0] = psi0[:, -1] = 0.0
+    start = None
+    if re > _LADDER_STEP:
+        below = _LADDER_STEP * (math.ceil(re / _LADDER_STEP) - 1)
+        key = (below, nx, ny, tol, max_iters, lid_speed)
+        if key not in _ladder:
+            solve_cavity_run(below, nx, ny, tol, max_iters, lid_speed, encode_bound=False)
+        start = _ladder[key]
+    psi, omega, u_in, v_in, residuals = _newton(re, nx, ny, tol, max_iters, lid_speed, start)
+    if re % _LADDER_STEP == 0:
+        _ladder[(re, nx, ny, tol, max_iters, lid_speed)] = (psi.copy(), omega.copy())
 
-    psi, omega, residuals, iters = _march(re, nx, ny, tol, max_iters, lid_speed, psi0, omega0)
-
-    dx = 1.0 / (nx - 1)
-    dy = 1.0 / (ny - 1)
-    u = np.zeros((ny, nx))
-    v = np.zeros((ny, nx))
-    u[1:-1, 1:-1] = (psi[2:, 1:-1] - psi[:-2, 1:-1]) / (2.0 * dy)
-    v[1:-1, 1:-1] = -(psi[1:-1, 2:] - psi[1:-1, :-2]) / (2.0 * dx)
+    u, v = np.pad(u_in, 1), np.pad(v_in, 1)
     u[-1, 1:-1] = lid_speed  # lid value at interior top nodes; corners stay no-slip
-    return CavityRun(
-        u_x=Field2D.from_grid(u),
-        u_y=Field2D.from_grid(v),
-        psi=psi,
-        omega=omega,
-        residuals=residuals,
-        iterations=iters,
-    )
+    return CavityRun(u_x=Field2D.from_grid(u), u_y=Field2D.from_grid(v), psi=psi,
+                     omega=omega, residuals=residuals, iterations=len(residuals) - 1)
 
 
 # Traveling-vortex surrogate: fixed irrational wavenumbers in x keep the

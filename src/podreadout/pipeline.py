@@ -133,6 +133,20 @@ class FieldCache:
         return self._transient[key]
 
 
+def read_input(read, path):
+    """read(path) for a file the user named; a missing or unreadable one is a
+    ConfigError that names the path."""
+    try:
+        return read(path)
+    except OSError as exc:
+        raise ConfigError(f"cannot read {path}: {exc.strerror or exc}") from exc
+
+
+def _read_ingested(cfg, read):
+    """read() applied to the ux and uy snapshot files of an ingested config."""
+    return read_input(read, cfg.snapshot_ux), read_input(read, cfg.snapshot_uy)
+
+
 def ensemble_fields(cfg: ExperimentConfig, cache: FieldCache):
     """Training snapshots for both components, with their parameter labels."""
     if cfg.problem == "cavity":
@@ -149,8 +163,7 @@ def ensemble_fields(cfg: ExperimentConfig, cache: FieldCache):
         ]
         labels = tuple(steps)
     else:
-        ux_all = flow.read_snapshot_file(cfg.snapshot_ux)
-        uy_all = flow.read_snapshot_file(cfg.snapshot_uy)
+        ux_all, uy_all = _read_ingested(cfg, flow.read_snapshot_file)
         if len(ux_all) != len(uy_all):
             raise ConfigError(
                 f"ingested components disagree: {len(ux_all)} vs {len(uy_all)} snapshots"
@@ -178,8 +191,7 @@ def target_fields(cfg: ExperimentConfig, cache: FieldCache):
         return cache.transient(
             cfg.target_step, cfg.period, cfg.nx, cfg.ny, cfg.transient_seed
         )
-    ux_all = flow.read_snapshot_file(cfg.snapshot_ux)
-    uy_all = flow.read_snapshot_file(cfg.snapshot_uy)
+    ux_all, uy_all = _read_ingested(cfg, flow.read_snapshot_file)
     return ux_all[cfg.target_index], uy_all[cfg.target_index]
 
 
@@ -241,7 +253,7 @@ def _snapshot_digests(cfg):
     The config hash covers the paths only; these make offline reuse notice
     files rewritten in place.
     """
-    return {"ux": sha256_file(cfg.snapshot_ux), "uy": sha256_file(cfg.snapshot_uy)}
+    return dict(zip(COMPONENTS, _read_ingested(cfg, sha256_file)))
 
 
 def _try_reuse(cfg, out_dir, manifest_path):
@@ -394,20 +406,9 @@ def run_shot_sweep(cfg: ExperimentConfig, offline: OfflineResult,
     ]
 
     def work(cell):
+        # a report holds 2^n-entry arrays: keep only the scalars of its rows
         comp, method, n_shot, seed = cell
-        return cell, run_cell(cfg, offline, targets, comp, method, n_shot, seed)
-
-    if cfg.threads > 1:
-        with ThreadPoolExecutor(max_workers=cfg.threads) as pool:
-            results = dict(pool.map(work, cells))
-    else:
-        results = dict(map(work, cells))
-
-    rows = []
-    lines = []
-    for cell in cells:  # fixed order regardless of scheduling
-        comp, method, n_shot, seed = cell
-        rep = results[cell]
+        rep = run_cell(cfg, offline, targets, comp, method, n_shot, seed)
         if rep.budget is not None:
             e_proj, e_enc, e_sam = (
                 fmt(rep.budget.e_proj), fmt(rep.budget.e_enc), fmt(rep.budget.e_sam_bound),
@@ -416,21 +417,26 @@ def run_shot_sweep(cfg: ExperimentConfig, offline: OfflineResult,
             e_proj = e_enc = e_sam = ""
         kept = str(rep.kept_modes) if rep.kept_modes is not None else ""
         n_b = str(rep.n_b) if rep.n_b is not None else "0"
-        lines.append(
+        line = (
             f"{h},{method},{comp},{cfg.grid_points},{rep.n_shot_total},{n_b},"
             f"{seed},{fmt(rep.epsilon)},{e_proj},{e_enc},{e_sam},{kept},0"
         )
-        rows.append(
-            {
-                "method": method,
-                "component": comp,
-                "n_shot_requested": n_shot,
-                "n_shot_total": rep.n_shot_total,
-                "seed": seed,
-                "epsilon": rep.epsilon,
-                "report": rep,
-            }
-        )
+        return line, {
+            "method": method,
+            "component": comp,
+            "n_shot_requested": n_shot,
+            "n_shot_total": rep.n_shot_total,
+            "seed": seed,
+            "epsilon": rep.epsilon,
+        }
+
+    if cfg.threads > 1:  # map keeps the cell order regardless of scheduling
+        with ThreadPoolExecutor(max_workers=cfg.threads) as pool:
+            results = list(pool.map(work, cells))
+    else:
+        results = list(map(work, cells))
+    lines = [line for line, _ in results]
+    rows = [row for _, row in results]
     os.makedirs(cfg.out_dir, exist_ok=True)
     write_csv(os.path.join(cfg.out_dir, "sweep.csv"), SWEEP_HEADER, lines)
 

@@ -224,6 +224,16 @@ class TestSweep:
         assert open(sweep_path, "rb").read() == first
         assert open(med_path, "rb").read() == first_med
 
+    def test_rows_hold_scalars_only(self, tmp_path):
+        # a readout report holds N-entry arrays; the sweep must not keep them
+        cfg = transient_config(tmp_path / "out", threads=2)
+        cache = FieldCache.for_config(cfg)
+        rows = run_shot_sweep(cfg, run_offline(cfg, cache), cache)
+        assert rows and all(
+            not isinstance(v, np.ndarray) for row in rows for v in row.values()
+        )
+        assert all("report" not in row for row in rows)
+
     def test_podr_budget_rounded_to_nb_multiple(self, tmp_path):
         cfg = transient_config(tmp_path / "out", shot_grid=(1001,), seeds=(0,))
         cache = FieldCache.for_config(cfg)

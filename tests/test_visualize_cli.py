@@ -1,9 +1,12 @@
 import json
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import podreadout
 from podreadout.cli import main
 from podreadout.config import ExperimentConfig
 from podreadout.flow import (
@@ -265,3 +268,46 @@ def test_every_problem_runs_each_study_or_exits_2(tmp_path, capsys, problem, stu
         assert_config_error(tmp_path, capsys, argv)
     else:
         assert main(argv) == 0
+
+
+@pytest.mark.parametrize("argv", [
+    ["solve"], ["offline"], ["sweep"], ["readout"], ["visualize"],
+])
+def test_missing_ingested_file_exits_2_naming_it(tmp_path, capsys, argv):
+    cfg_path = write_problem_config(tmp_path, "ingested")
+    missing = tmp_path / "uy.pods"
+    missing.unlink()
+    assert main(["--config", str(cfg_path), *argv]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and str(missing) in err
+
+
+@pytest.mark.parametrize("name", ["gone.pods", "gone.csv"])
+def test_ingest_missing_file_exits_2_naming_it(tmp_path, capsys, name):
+    missing = tmp_path / name
+    argv = ["ingest", str(missing)] + (["--to", str(tmp_path / "x.pods")]
+                                       if name.endswith(".csv") else [])
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and str(missing) in err
+
+
+NO_SCIPY_SCRIPT = """
+import sys
+from podreadout.cli import main
+for command in ("offline", "sweep"):
+    if main(["--config", sys.argv[1], command]) != 0:
+        sys.exit(f"podr {command} failed")
+print("scipy modules:", sorted(m for m in sys.modules if m.split(".")[0].startswith("scipy")))
+"""
+
+
+def test_cavity_offline_and_sweep_import_no_scipy(tmp_path):
+    cfg_path = write_config(tmp_path, problem="cavity", nx=16, ny=16,
+                            reynolds=[100, 200, 300, 400], target_reynolds=250)
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(podreadout.__file__)))
+    proc = subprocess.run([sys.executable, "-c", NO_SCIPY_SCRIPT, str(cfg_path)], env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert os.path.exists(tmp_path / "out" / "sweep.csv")
+    assert proc.stdout.splitlines()[-1] == "scipy modules: []"
