@@ -9,12 +9,19 @@ The encoding-error estimator weighs per-basis overlap defects by the mean
 squared snapshot amplitudes sigma_i^2 / m; the search doubles one bond at a
 time (powers of two only, as the qubit register forces) until the estimate
 clears the requested threshold.
+
+The search does that ascent incrementally.  Each compression's overlap row
+<approx_i, u_j> is computed once, and a trial doubling is scored by swapping
+its row into the current n_b x n_b overlap matrix; the estimator itself runs
+once per accepted doubling.  Each sweep remembers the first cut its cap
+truncated, so the doubled compression resumes there: every earlier cut is
+the same under chi and 2 chi.
 """
 
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -45,6 +52,20 @@ def from_lsb_flat(y: np.ndarray, n: int) -> np.ndarray:
     return y.reshape((2,) * n).reshape(-1, order="F")
 
 
+@dataclass(frozen=True)
+class _SweepState:
+    """A sweep under cap chi_max as it entered cut, the first cut it truncated.
+
+    cores are the cores left of that cut and carry the matrix the cut splits
+    (at most 2^n entries); cut is n - 1 when no cut was truncated.
+    """
+
+    cut: int
+    chi_max: int
+    cores: list
+    carry: np.ndarray
+
+
 @dataclass
 class MpsVector:
     """Tensor-train form of a unit vector plus its dense contraction.
@@ -53,25 +74,32 @@ class MpsVector:
     chi_max is the declared cap the cores were truncated under; actual
     bonds may be smaller.  dense caches the unit-norm contraction, which
     every estimator and the readout simulator share at desk scale.
+    resume, when set, lets tt_svd continue this sweep under a larger cap.
     """
 
     n_qubits: int
     cores: list
     chi_max: int
     dense: np.ndarray | None = None
+    resume: _SweepState | None = field(default=None, repr=False, compare=False)
 
     @property
     def bond_dims(self) -> tuple:
         return tuple(core.shape[2] for core in self.cores[:-1])
 
 
-def tt_svd(x, chi_max: int) -> MpsVector:
+def tt_svd(x, chi_max: int, resume: _SweepState | None = None) -> MpsVector:
     """Left-to-right truncated-SVD sweep; contraction is renormalized.
 
     Sign-canonical: each core column keeps its largest-magnitude entry
     positive, with the compensating flip pushed into the carry matrix, so
     the contraction always reproduces x/||x|| (up to truncation loss) with
     no global sign flip.
+
+    resume is the .resume of an earlier sweep of the same x under a cap no
+    larger than chi_max.  Every cut before its first truncated cut keeps its
+    full rank under either cap, so the sweep restarts at that cut and gives
+    the same bytes as a fresh one.  The result records its own resume state.
     """
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 1:
@@ -79,17 +107,24 @@ def tt_svd(x, chi_max: int) -> MpsVector:
     n = _n_qubits(x.size)
     if chi_max < 1:
         raise FieldError("chi_max must be at least 1")
-    norm_x = np.linalg.norm(x)
-    if norm_x == 0.0:
-        raise FieldError("cannot compress the zero vector")
+    if resume is None:
+        norm_x = np.linalg.norm(x)
+        if norm_x == 0.0:
+            raise FieldError("cannot compress the zero vector")
+        start, cores, carry = 0, [], to_lsb_flat(x / norm_x, n)
+    elif resume.chi_max > chi_max:
+        raise FieldError(f"cannot resume a chi_max {resume.chi_max} sweep under {chi_max}")
+    else:
+        start, cores, carry = resume.cut, list(resume.cores), resume.carry
 
-    carry = to_lsb_flat(x / norm_x, n)
-    left = 1
-    cores = []
-    for _ in range(n - 1):
+    left = cores[-1].shape[2] if cores else 1
+    state = None
+    for k in range(start, n - 1):
         mat = carry.reshape(left * 2, -1)
         u, s, vt = np.linalg.svd(mat, full_matrices=False)
         keep = max(1, int(np.sum(s > s[0] * _RANK_CUTOFF)))
+        if keep > chi_max and state is None:
+            state = _SweepState(k, chi_max, list(cores), carry)
         keep = min(keep, chi_max)
         u = u[:, :keep]
         s = s[:keep]
@@ -101,11 +136,13 @@ def tt_svd(x, chi_max: int) -> MpsVector:
         cores.append(u.reshape(left, 2, keep))
         carry = s[:, None] * vt
         left = keep
+    if state is None:
+        state = _SweepState(n - 1, chi_max, list(cores), carry)
     last = carry.reshape(left, 2, 1)
     last = last / np.linalg.norm(last)  # earlier cores are left-orthogonal
     cores.append(last)
 
-    m = MpsVector(n_qubits=n, cores=cores, chi_max=chi_max)
+    m = MpsVector(n_qubits=n, cores=cores, chi_max=chi_max, resume=state)
     m.dense = _contract_cores(cores, n)
     return m
 
@@ -186,6 +223,11 @@ def search_bond_plan(basis: PodBasisSet, threshold: float, chi_cap: int):
     (ties go to the lowest basis index), stopping when the estimate clears
     the threshold.  Raises BondSearchError with the best estimate reached
     if every basis is already at chi_cap.
+
+    Trials are ranked by swapping the trial's overlap row into the current
+    overlap matrix; the estimate that is tested and reported comes from
+    enc_error_estimator on the accepted approximants.  A doubling resumes
+    the sweep of the current approximant, which then drops its resume state.
     """
     if threshold <= 0:
         raise FieldError("threshold must be positive")
@@ -196,28 +238,29 @@ def search_bond_plan(basis: PodBasisSet, threshold: float, chi_cap: int):
         raise FieldError(f"chi_cap {chi_cap} exceeds the maximal cut bond 2^{n // 2}")
 
     n_b = basis.n_b
-    cache = {}
-
-    def compress(i, chi):
-        key = (i, chi)
-        if key not in cache:
-            cache[key] = tt_svd(basis.u[:, i], chi)
-        return cache[key]
-
+    u = basis.u[:, :n_b]
+    s = basis.sigma[:n_b] ** 2 / basis.m
     chis = [1] * n_b
-    approx = [compress(i, 1) for i in range(n_b)]
+    approx = [tt_svd(basis.u[:, i], 1) for i in range(n_b)]
     est = enc_error_estimator(basis, approx)
+    # every row comes from the same one-row product, so equal approximants
+    # score equal and ties still go to the lowest index
+    rows = np.stack([contract(a) @ u for a in approx])  # rows[i, j] = <approx_i, u_j>
+    trials = [None] * n_b  # (compression at 2 chis[i], its overlap row)
     while est > threshold:
         best = None
         for i in range(n_b):
             if chis[i] >= chi_cap:
                 continue
-            trial = compress(i, chis[i] * 2)
-            candidate = list(approx)
-            candidate[i] = trial
-            e = enc_error_estimator(basis, candidate)
+            if trials[i] is None:
+                trial = tt_svd(basis.u[:, i], chis[i] * 2, resume=approx[i].resume)
+                approx[i].resume = None
+                trials[i] = (trial, contract(trial) @ u)
+            candidate = rows.copy()
+            candidate[i] = trials[i][1]
+            e = float(np.sqrt(np.sum((s - candidate @ s) ** 2)))
             if best is None or e < best[0]:
-                best = (e, i, trial)
+                best = (e, i)
         if best is None:
             raise BondSearchError(
                 f"encoding threshold {threshold:g} unreachable at chi_cap {chi_cap} "
@@ -225,9 +268,13 @@ def search_bond_plan(basis: PodBasisSet, threshold: float, chi_cap: int):
                 best_estimator=est,
                 plan=tuple(chis),
             )
-        est, i, trial = best
+        i = best[1]
         chis[i] *= 2
-        approx[i] = trial
+        approx[i], rows[i] = trials[i]
+        trials[i] = None
+        est = enc_error_estimator(basis, approx)
+    for a in approx:
+        a.resume = None
     return BondPlan(chis=tuple(chis), estimated_error=est), approx
 
 

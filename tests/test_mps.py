@@ -1,4 +1,5 @@
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -6,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from podreadout.errors import BondSearchError, FieldError, SnapshotFormatError
+from podreadout import mps
 from podreadout.flow import Field2D
 from podreadout.mps import (
     BondPlan,
@@ -20,7 +22,7 @@ from podreadout.mps import (
     tt_svd,
     validate_mps,
 )
-from podreadout.pod import build_snapshot_matrix, pod_decompose
+from podreadout.pod import PodBasisSet, build_snapshot_matrix, pod_decompose
 
 
 def schmidt_truncation_fidelity(x, chi):
@@ -104,6 +106,74 @@ class TestTtSvd:
             tt_svd(np.ones(8), 0)
 
 
+def smooth_vector(n, seed):
+    x = np.linspace(0.0, 1.0, 2**n)
+    rng = np.random.default_rng(seed)
+    return sum(rng.normal() * np.cos(np.pi * k * x) / (1 + k) ** 2 for k in range(12))
+
+
+def svd_cuts(monkeypatch, n):
+    """Record the cut index of every np.linalg.svd call (cut k splits 2^(n-k-1) columns)."""
+    cuts = []
+    real = np.linalg.svd
+
+    def spy(mat, *args, **kwargs):
+        cuts.append(n - 1 - (mat.shape[1].bit_length() - 1))
+        return real(mat, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", spy)
+    return cuts
+
+
+class TestResumedTtSvd:
+    @pytest.mark.parametrize("kind", ["random", "smooth"])
+    def test_same_bytes_as_fresh_sweep(self, kind):
+        n = 10
+        for chi in range(1, 17):
+            x = (np.random.default_rng(chi).normal(size=2**n) if kind == "random"
+                 else smooth_vector(n, chi))
+            fresh = tt_svd(x, 2 * chi)
+            resumed = tt_svd(x, 2 * chi, resume=tt_svd(x, chi).resume)
+            assert resumed.chi_max == 2 * chi
+            assert [c.tobytes() for c in resumed.cores] == [c.tobytes() for c in fresh.cores]
+            assert contract(resumed).tobytes() == contract(fresh).tobytes()
+            assert resumed.resume.cut == fresh.resume.cut
+
+    def test_skips_the_cuts_the_smaller_cap_kept(self, monkeypatch):
+        n = 10
+        x = np.random.default_rng(5).normal(size=2**n)
+        start = tt_svd(x, 8)
+        assert start.resume.cut == 3  # bonds 2, 4, 8 fit under 8; cut 3 has rank 16
+        cuts = svd_cuts(monkeypatch, n)
+        tt_svd(x, 16, resume=start.resume)
+        assert cuts == list(range(3, n - 1))
+
+    def test_rank_cutoff_below_cap_runs_no_svd(self, monkeypatch):
+        # a sum of two product states has rank at most 2 at every cut
+        n = 10
+        rng = np.random.default_rng(6)
+        x = np.zeros(2**n)
+        for _ in range(2):
+            term = np.ones(1)
+            for _ in range(n):
+                term = np.kron(term, rng.normal(size=2))
+            x += term
+        start = tt_svd(x, 4)
+        assert max(start.bond_dims) == 2
+        assert start.resume.cut == n - 1
+        cuts = svd_cuts(monkeypatch, n)
+        resumed = tt_svd(x, 8, resume=start.resume)
+        assert cuts == []
+        fresh = tt_svd(x, 8)
+        assert [c.tobytes() for c in resumed.cores] == [c.tobytes() for c in fresh.cores]
+        assert contract(resumed).tobytes() == contract(fresh).tobytes()
+
+    def test_rejects_a_state_from_a_larger_cap(self):
+        x = np.random.default_rng(7).normal(size=64)
+        with pytest.raises(FieldError):
+            tt_svd(x, 2, resume=tt_svd(x, 4).resume)
+
+
 class TestContract:
     def test_product_state_e5(self):
         e5 = np.zeros(8)
@@ -160,7 +230,148 @@ class TestEncErrorEstimator:
             enc_error_estimator(basis, apx)
 
 
+def reference_search(basis, threshold, chi_cap):
+    """The bond search as first written, kept as an oracle.
+
+    Every trial restacks all approximants and evaluates the full estimator,
+    and every compression is a fresh sweep.
+    """
+    n_b = basis.n_b
+    cache = {}
+
+    def compress(i, chi):
+        key = (i, chi)
+        if key not in cache:
+            cache[key] = mps.tt_svd(basis.u[:, i], chi)
+        return cache[key]
+
+    chis = [1] * n_b
+    approx = [compress(i, 1) for i in range(n_b)]
+    est = enc_error_estimator(basis, approx)
+    while est > threshold:
+        best = None
+        for i in range(n_b):
+            if chis[i] >= chi_cap:
+                continue
+            trial = compress(i, chis[i] * 2)
+            candidate = list(approx)
+            candidate[i] = trial
+            e = enc_error_estimator(basis, candidate)
+            if best is None or e < best[0]:
+                best = (e, i, trial)
+        if best is None:
+            raise BondSearchError("unreachable", best_estimator=est, plan=tuple(chis))
+        est, i, trial = best
+        chis[i] *= 2
+        approx[i] = trial
+    return BondPlan(chis=tuple(chis), estimated_error=est), approx
+
+
+def compression_order(search, basis, threshold, chi_cap):
+    """(basis index, cap) of every tt_svd call one search makes, in order."""
+    columns = [basis.u[:, i].ctypes.data for i in range(basis.m)]
+    calls = []
+    real = mps.tt_svd
+
+    def spy(x, chi_max, **kwargs):
+        calls.append((columns.index(x.ctypes.data), chi_max))
+        return real(x, chi_max, **kwargs)
+
+    with mock.patch.object(mps, "tt_svd", spy):
+        try:
+            search(basis, threshold, chi_cap)
+        except BondSearchError:
+            pass
+    return calls
+
+
+def mixed_basis(n, m, kind, seed, n_b):
+    """POD basis of m columns of length 2^n: random, smooth or near-low-rank."""
+    rng = np.random.default_rng(seed)
+    size = 2**n
+    if kind == "random":
+        cols = rng.normal(size=(m, size))
+    elif kind == "smooth":
+        x = np.linspace(0.0, 1.0, size)
+        cols = [
+            sum(rng.normal() * np.sin(np.pi * (k + 1) * x + rng.uniform(0.0, 6.0))
+                for k in range(4))
+            for _ in range(m)
+        ]
+    else:
+        half = 2 ** (n // 2)
+        cols = [
+            (rng.normal(size=(half, 2)) @ rng.normal(size=(2, size // half))).reshape(-1)
+            + 1e-3 * rng.normal(size=size)
+            for _ in range(m)
+        ]
+    fields = [Field2D(size, 1, c) for c in cols]
+    return pod_decompose(build_snapshot_matrix(fields, list(range(m)))).with_nb(n_b)
+
+
+def core_bytes(approx):
+    return [[c.tobytes() for c in a.cores] for a in approx]
+
+
 class TestBondSearch:
+    @settings(max_examples=250, deadline=None)
+    @given(
+        n=st.integers(6, 11),
+        m=st.integers(2, 7),
+        kind=st.sampled_from(["random", "smooth", "low-rank"]),
+        seed=st.integers(0, 2**31),
+        nb_frac=st.floats(0.0, 1.0),
+        cap_exp=st.integers(0, 5),
+        thr_decades=st.floats(0.0, 8.0),
+    )
+    def test_same_result_as_reference_search(
+        self, n, m, kind, seed, nb_frac, cap_exp, thr_decades
+    ):
+        n_b = 1 + int(nb_frac * (m - 1))
+        basis = mixed_basis(n, m, kind, seed, n_b)
+        chi_cap = 2 ** min(cap_exp, n // 2)
+        # thresholds from "met at the start" down to unreachable
+        start = enc_error_estimator(basis, [tt_svd(basis.u[:, i], 1) for i in range(n_b)])
+        threshold = max(start, 1e-300) * 10.0 ** (1.0 - thr_decades)
+        try:
+            want, want_apx = reference_search(basis, threshold, chi_cap)
+        except BondSearchError as ref_err:
+            with pytest.raises(BondSearchError) as err:
+                search_bond_plan(basis, threshold, chi_cap)
+            assert err.value.plan == ref_err.plan
+            assert err.value.best_estimator.hex() == ref_err.best_estimator.hex()
+            return
+        plan, apx = search_bond_plan(basis, threshold, chi_cap)
+        assert plan.chis == want.chis
+        assert plan.estimated_error.hex() == want.estimated_error.hex()
+        assert core_bytes(apx) == core_bytes(want_apx)
+        assert all(a.resume is None for a in apx)
+
+    @pytest.mark.parametrize("kind,drop", [("random", 0.9), ("smooth", 1e-3),
+                                           ("low-rank", 1e-3)])
+    def test_same_compressions_in_the_same_order(self, kind, drop):
+        # one tt_svd call per compression, so perfbench's call count still
+        # counts compressions
+        basis = mixed_basis(10, 5, kind, 3, 4)
+        start = enc_error_estimator(basis, [tt_svd(basis.u[:, i], 1) for i in range(4)])
+        want = compression_order(reference_search, basis, start * drop, 16)
+        assert compression_order(search_bond_plan, basis, start * drop, 16) == want
+
+    def test_ties_go_to_the_lowest_index(self):
+        # two-entry pairs have bond 4 at most: once every basis is exact the
+        # trials leave the estimate unchanged and tie, so the lowest index
+        # doubles first and its compression comes first
+        n = 8
+        u = np.zeros((2**n, 4))
+        for k, a in enumerate((1, 8, 64, 5)):
+            b = a ^ 0x5A
+            u[[a, 2**n - 1 - a, b, 2**n - 1 - b], k] = (0.37 + k, 0.91 / (k + 1), 0.13, 0.29)
+        u /= np.linalg.norm(u, axis=0)
+        basis = PodBasisSet(u=u, sigma=np.array([3.0, 2.0, 1.5, 1.0]), v=np.eye(4), n_b=4)
+        order = compression_order(search_bond_plan, basis, 1e-300, 16)
+        assert order == compression_order(reference_search, basis, 1e-300, 16)
+        assert order[-4:] == [(0, 16), (1, 16), (2, 16), (3, 16)]
+
     def test_huge_threshold_keeps_all_chis_one(self):
         basis = random_basis(64, 4, seed=11, n_b=3)
         plan, apx = search_bond_plan(basis, threshold=10.0, chi_cap=8)
