@@ -71,17 +71,11 @@ def block_depth(width: int) -> int:
     return 4 * g if width >= 2 else 3
 
 
-def cost_model(layout, core_chis=None) -> CircuitCost:
+def cost_model(layout) -> CircuitCost:
     """Deterministic cost of a staircase layout; blocks run serially."""
     if not layout:
         raise FieldError("empty layout")
     widths = [len(qubits) for _, qubits in layout]
-    if core_chis is not None:
-        if len(core_chis) != len(layout):
-            raise FieldError(f"{len(core_chis)} chi values for {len(layout)} blocks")
-        for w, chi in zip(widths, core_chis):
-            if w != _block_width(chi):
-                raise FieldError(f"block width {w} inconsistent with chi {chi}")
     n_qubits = 1 + max(q for _, qubits in layout for q in qubits)
     two = sum(block_two_qubit_count(w) for w in widths)
     depth = sum(block_depth(w) for w in widths)

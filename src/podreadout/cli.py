@@ -14,7 +14,7 @@ import os
 import sys
 
 from . import flow, pipeline, visualize
-from .config import ConfigError, load_config
+from .config import ConfigError, load_config, validate_config
 from .errors import NumericalError, SnapshotFormatError
 
 log = logging.getLogger("podreadout")
@@ -25,7 +25,6 @@ def _build_parser():
     p.add_argument("--config", help="experiment config (JSON)")
     p.add_argument("--out", help="override the config output directory")
     p.add_argument("--seed", type=int, help="replace the config seed list with one seed")
-    p.add_argument("--threads", type=int, help="worker threads for sweep cells")
     p.add_argument("-v", "--verbose", action="store_true")
     sub = p.add_subparsers(dest="command", required=True)
 
@@ -54,9 +53,13 @@ def _load(args):
         overrides["out_dir"] = args.out
     if args.seed is not None:
         overrides["seeds"] = (args.seed,)
-    if args.threads is not None:
-        overrides["threads"] = args.threads
-    return dataclasses.replace(cfg, **overrides) if overrides else cfg
+    return validate_config(dataclasses.replace(cfg, **overrides))
+
+
+def _check_shots(shots):
+    if shots < 1:
+        raise ConfigError(f"--shots must be a positive integer, got {shots}")
+    return shots
 
 
 def _cmd_solve(args):
@@ -88,15 +91,16 @@ def _cmd_offline(args):
 
 def _cmd_readout(args):
     cfg = _load(args)
-    shots = args.shots if args.shots is not None else cfg.shot_grid[0]
-    cfg = dataclasses.replace(cfg, shot_grid=(shots,), seeds=(cfg.seeds[0],))
+    shots = _check_shots(args.shots) if args.shots is not None else int(cfg.shot_grid[0])
     cache = pipeline.FieldCache.for_config(cfg)
     offline = pipeline.run_offline(cfg, cache)
-    rows = pipeline.run_shot_sweep(cfg, offline, cache)
-    for r in rows:
-        label = visualize.METHOD_LABELS.get(r["method"], r["method"])
-        print(f"{label:16s} {r['component']}: epsilon={r['epsilon']:.4e} "
-              f"(shots={r['n_shot_total']})")
+    targets = pipeline.unit_targets(pipeline.target_fields(cfg, cache))
+    for comp in pipeline.COMPONENTS:
+        for method in cfg.methods:
+            rep = pipeline.run_cell(cfg, offline, targets, comp, method, shots, cfg.seeds[0])
+            label = visualize.METHOD_LABELS.get(method, method)
+            print(f"{label:16s} {comp}: epsilon={rep.epsilon:.4e} "
+                  f"(shots={rep.n_shot_total})")
     return 0
 
 
@@ -132,23 +136,23 @@ def _cmd_depth_study(args):
 
 def _cmd_visualize(args):
     cfg = _load(args)
+    requested = _check_shots(args.shots)
     cache = pipeline.FieldCache.for_config(cfg)
     offline = pipeline.run_offline(cfg, cache)
-    shots = visualize.visual_shot_budget(cfg, offline, args.shots)
-    if shots != args.shots:
-        log.info("shared budget adjusted from %d to %d", args.shots, shots)
+    shots = pipeline.harmonized_shots(
+        requested, [art.basis.n_b for art in offline.components.values()]
+    )
+    if shots != requested:
+        log.info("shared budget adjusted from %d to %d", requested, shots)
     truth = pipeline.target_fields(cfg, cache)
-    targets = {
-        "ux": pipeline.unit_vector(truth[0]),
-        "uy": pipeline.unit_vector(truth[1]),
-    }
-    seed = cfg.seeds[0]
-    reports = {}
-    for method in cfg.methods:
-        reports[method] = {
-            comp: pipeline.run_cell(cfg, offline, targets, comp, method, shots, seed)
-            for comp in ("ux", "uy")
+    targets = pipeline.unit_targets(truth)
+    reports = {
+        method: {
+            comp: pipeline.run_cell(cfg, offline, targets, comp, method, shots, cfg.seeds[0])
+            for comp in pipeline.COMPONENTS
         }
+        for method in cfg.methods
+    }
     written = visualize.emit_visual_comparison(cfg, reports, truth)
     print(f"wrote {len(written)} panel files under {cfg.out_dir}")
     return 0

@@ -1,8 +1,8 @@
 """Experiment configuration: one JSON document, strictly validated.
 
-The config hash covers every field that can influence numbers; out_dir and
-threads are execution details and stay out of it, which is what lets a
-rerun into a fresh directory reproduce byte-identical CSV output.
+The config hash covers every field that can influence numbers; out_dir is an
+execution detail and stays out of it, which is what lets a rerun into a
+fresh directory reproduce byte-identical CSV output.
 """
 
 from __future__ import annotations
@@ -57,7 +57,6 @@ class ExperimentConfig:
     # studies
     param_sweep: tuple | None = None
     grid_sizes: tuple = (1024, 4096, 16384)
-    threads: int = 1
 
     @property
     def thresholds(self):
@@ -69,7 +68,7 @@ class ExperimentConfig:
 
 
 _FIELD_NAMES = {f for f in ExperimentConfig.__dataclass_fields__}
-_HASH_EXCLUDED = {"out_dir", "threads"}
+_HASH_EXCLUDED = {"out_dir"}
 
 
 def _is_pow2(k: int) -> bool:
@@ -87,8 +86,10 @@ def validate_config(cfg: ExperimentConfig) -> ExperimentConfig:
         raise ConfigError(f"methods must be a nonempty subset of {METHODS}")
     if not cfg.shot_grid or any(int(s) < 1 for s in cfg.shot_grid):
         raise ConfigError("shot_grid must hold positive integers")
-    if not cfg.seeds:
-        raise ConfigError("seeds must be nonempty")
+    if not cfg.seeds or any(
+        isinstance(s, bool) or not isinstance(s, int) or s < 0 for s in cfg.seeds
+    ):
+        raise ConfigError("seeds must be a nonempty list of nonnegative integers")
     if cfg.beta < 2.0:
         raise ConfigError("beta must be at least 2")
     if not _is_pow2(cfg.chi_cap):

@@ -15,11 +15,11 @@ from __future__ import annotations
 
 import functools
 import hashlib
+import itertools
 import json
 import logging
 import math
 import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -200,6 +200,11 @@ def unit_vector(field: flow.Field2D) -> np.ndarray:
     if nrm == 0.0:
         raise FieldError("zero-norm field cannot be normalized")
     return field.values / nrm
+
+
+def unit_targets(truth) -> dict:
+    """{"ux": ..., "uy": ...} unit vectors of a (u_x, u_y) target pair."""
+    return dict(zip(COMPONENTS, map(unit_vector, truth)))
 
 
 @dataclass
@@ -393,21 +398,15 @@ def run_shot_sweep(cfg: ExperimentConfig, offline: OfflineResult,
     median curves) into cfg.out_dir; returns the raw rows as dicts.
     """
     cache = cache or FieldCache.for_config(cfg)
-    tx, ty = target_fields(cfg, cache)
-    targets = {"ux": unit_vector(tx), "uy": unit_vector(ty)}
+    targets = unit_targets(target_fields(cfg, cache))
     h = config_hash(cfg)
 
-    cells = [
-        (comp, method, int(n_shot), int(seed))
-        for comp in COMPONENTS
-        for method in cfg.methods
-        for n_shot in cfg.shot_grid
-        for seed in cfg.seeds
-    ]
-
-    def work(cell):
-        # a report holds 2^n-entry arrays: keep only the scalars of its rows
-        comp, method, n_shot, seed = cell
+    lines, rows, eps = [], [], {}
+    for comp, method, n_shot, seed in itertools.product(
+        COMPONENTS, cfg.methods, map(int, cfg.shot_grid), map(int, cfg.seeds)
+    ):
+        # a report holds 2^n-entry arrays: keep only the scalars of its row,
+        # and free it before the next cell allocates its own
         rep = run_cell(cfg, offline, targets, comp, method, n_shot, seed)
         if rep.budget is not None:
             e_proj, e_enc, e_sam = (
@@ -417,44 +416,32 @@ def run_shot_sweep(cfg: ExperimentConfig, offline: OfflineResult,
             e_proj = e_enc = e_sam = ""
         kept = str(rep.kept_modes) if rep.kept_modes is not None else ""
         n_b = str(rep.n_b) if rep.n_b is not None else "0"
-        line = (
+        lines.append(
             f"{h},{method},{comp},{cfg.grid_points},{rep.n_shot_total},{n_b},"
             f"{seed},{fmt(rep.epsilon)},{e_proj},{e_enc},{e_sam},{kept},0"
         )
-        return line, {
+        rows.append({
             "method": method,
             "component": comp,
             "n_shot_requested": n_shot,
             "n_shot_total": rep.n_shot_total,
             "seed": seed,
             "epsilon": rep.epsilon,
-        }
-
-    if cfg.threads > 1:  # map keeps the cell order regardless of scheduling
-        with ThreadPoolExecutor(max_workers=cfg.threads) as pool:
-            results = list(pool.map(work, cells))
-    else:
-        results = list(map(work, cells))
-    lines = [line for line, _ in results]
-    rows = [row for _, row in results]
+        })
+        eps.setdefault((comp, method, n_shot), []).append(rep.epsilon)
+        del rep
     os.makedirs(cfg.out_dir, exist_ok=True)
     write_csv(os.path.join(cfg.out_dir, "sweep.csv"), SWEEP_HEADER, lines)
-
-    median_lines = []
-    for comp in COMPONENTS:
-        for method in cfg.methods:
-            for n_shot in cfg.shot_grid:
-                eps = [
-                    r["epsilon"]
-                    for r in rows
-                    if r["component"] == comp and r["method"] == method
-                    and r["n_shot_requested"] == n_shot
-                ]
-                median_lines.append(
-                    f"{h},{method},{comp},{n_shot},{fmt(float(np.median(eps)))}"
-                )
     write_csv(
-        os.path.join(cfg.out_dir, "sweep_medians.csv"), MEDIAN_HEADER, median_lines
+        os.path.join(cfg.out_dir, "sweep_medians.csv"),
+        MEDIAN_HEADER,
+        [
+            f"{h},{method},{comp},{n_shot},"
+            f"{fmt(float(np.median(eps[comp, method, int(n_shot)])))}"
+            for comp in COMPONENTS
+            for method in cfg.methods
+            for n_shot in cfg.shot_grid
+        ],
     )
     return rows
 

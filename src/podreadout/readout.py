@@ -81,7 +81,6 @@ def podr_readout(
     approximants,
     n_shot_total: int,
     seed: int,
-    subregion=None,
     analytic: bool = False,
     beta: float = 2.0,
 ) -> ReadoutReport:
@@ -115,12 +114,7 @@ def podr_readout(
 
     un = basis.u[:, :n_b]
     recon = un @ coeffs
-    if subregion is not None:
-        subregion = np.asarray(subregion, dtype=np.intp)
-        recon = recon[subregion]
-        epsilon = float(np.linalg.norm(x[subregion] - recon))
-    else:
-        epsilon = float(np.linalg.norm(x - recon))
+    epsilon = float(np.linalg.norm(x - recon))
 
     e_proj = exact_projection_error(x, basis, n_b)
     e_enc = float(np.linalg.norm(un.T @ x - overlaps))

@@ -15,7 +15,7 @@ import numpy as np
 from .errors import FieldError
 from .flow import Field2D
 from .io_util import atomic_write_text
-from .pipeline import fmt, harmonized_shots, unit_vector
+from .pipeline import fmt, unit_targets
 
 METHOD_LABELS = {"PODR": "PODR", "RSR": "RSR", "FSR": "FSR (idealized)", "truth": "truth"}
 
@@ -67,17 +67,16 @@ def svg_heatmap(field: Field2D, path, title: str = "") -> None:
     atomic_write_text(path, "\n".join(parts) + "\n")
 
 
-def emit_visual_comparison(cfg, reports, truth, out_dir=None):
+def emit_visual_comparison(cfg, reports, truth):
     """Export u_x, u_y and psi panels for each method plus the truth.
 
     reports maps method name to {"ux": ReadoutReport, "uy": ReadoutReport}
-    at one shared shot budget; truth is the (u_x, u_y) field pair.  Returns
-    the list of written file paths.
+    at one shared shot budget; truth is the (u_x, u_y) field pair.  Writes
+    under cfg.out_dir/visual and returns the list of written file paths.
     """
-    out_dir = out_dir or os.path.join(cfg.out_dir, "visual")
+    out_dir = os.path.join(cfg.out_dir, "visual")
     os.makedirs(out_dir, exist_ok=True)
-    tx, ty = truth
-    panels = {"truth": {"ux": unit_vector(tx), "uy": unit_vector(ty)}}
+    panels = {"truth": unit_targets(truth)}
     for method, comp_reports in reports.items():
         if set(comp_reports) != {"ux", "uy"}:
             raise FieldError(f"method {method} must report both components")
@@ -99,9 +98,3 @@ def emit_visual_comparison(cfg, reports, truth, out_dir=None):
             written.extend([csv_path, svg_path])
     return written
 
-
-def visual_shot_budget(cfg, offline, requested: int) -> int:
-    """Shared budget divisible by every component's basis count."""
-    return harmonized_shots(
-        requested, [offline.components[c].basis.n_b for c in ("ux", "uy")]
-    )

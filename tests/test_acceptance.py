@@ -255,7 +255,7 @@ def test_criterion_10_byte_determinism(tmp_path):
     cfg = ExperimentConfig(
         problem="transient", nx=32, ny=16, case="case1", window=(0, 15),
         period=8, target_step=20, chi_cap=8, out_dir=str(tmp_path / "run"),
-        shot_grid=(1_000, 10_000), seeds=(0, 1), threads=1,
+        shot_grid=(1_000, 10_000), seeds=(0, 1),
     )
     artifacts = ("sweep.csv", "sweep_medians.csv", "param_study.csv", "manifest.json")
 
@@ -271,7 +271,7 @@ def test_criterion_10_byte_determinism(tmp_path):
 
     first = run(cfg)
     second = run(cfg)  # same directory: offline artifacts get reused
-    fresh = run(dataclasses.replace(cfg, out_dir=str(tmp_path / "fresh"), threads=2))
+    fresh = run(dataclasses.replace(cfg, out_dir=str(tmp_path / "fresh")))
     same_dir = all(first[n] == second[n] for n in artifacts)
     cross_dir = all(first[n] == fresh[n] for n in artifacts)
     report(

@@ -100,14 +100,6 @@ class TestCostModel:
         d_large = circuit_cost(random_mps(12, 8, seed=6)).depth
         assert d_small <= d_large
 
-    def test_chi_consistency_validation(self):
-        m = random_mps(6, 4, seed=7)
-        layout = staircase_layout(m)
-        chis = [max(c.shape[0], c.shape[2]) for c in m.cores]
-        cost_model(layout, chis)
-        with pytest.raises(FieldError):
-            cost_model(layout, [64] * len(chis))
-
     def test_empty_layout_rejected(self):
         with pytest.raises(FieldError):
             cost_model([])

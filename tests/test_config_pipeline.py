@@ -88,9 +88,9 @@ class TestConfig:
         with pytest.raises(ConfigError, match="not found"):
             load_config(tmp_path / "nope.json")
 
-    def test_hash_ignores_out_dir_and_threads(self, tmp_path):
+    def test_hash_ignores_out_dir(self, tmp_path):
         a = transient_config(tmp_path / "a")
-        b = dataclasses.replace(a, out_dir=str(tmp_path / "b"), threads=4)
+        b = dataclasses.replace(a, out_dir=str(tmp_path / "b"))
         c = dataclasses.replace(a, period=11)
         assert config_hash(a) == config_hash(b)
         assert config_hash(a) != config_hash(c)
@@ -226,7 +226,7 @@ class TestSweep:
 
     def test_rows_hold_scalars_only(self, tmp_path):
         # a readout report holds N-entry arrays; the sweep must not keep them
-        cfg = transient_config(tmp_path / "out", threads=2)
+        cfg = transient_config(tmp_path / "out")
         cache = FieldCache.for_config(cfg)
         rows = run_shot_sweep(cfg, run_offline(cfg, cache), cache)
         assert rows and all(
@@ -245,17 +245,24 @@ class TestSweep:
             nb = offline.components[r["component"]].basis.n_b
             assert r["n_shot_total"] == (1001 // nb) * nb
 
-    def test_threads_do_not_change_results(self, tmp_path):
-        cfg1 = transient_config(tmp_path / "o1")
-        cfg4 = dataclasses.replace(cfg1, out_dir=str(tmp_path / "o4"), threads=4)
-        cache = FieldCache.for_config(cfg1)
-        off1 = run_offline(cfg1, cache)
-        off4 = run_offline(cfg4, cache)
-        run_shot_sweep(cfg1, off1, cache)
-        run_shot_sweep(cfg4, off4, cache)
-        a = open(os.path.join(cfg1.out_dir, "sweep.csv")).read()
-        b = open(os.path.join(cfg4.out_dir, "sweep.csv")).read()
-        assert a == b
+    def test_duplicate_budgets_repeat_their_rows(self, tmp_path):
+        def sweep(out, shot_grid):
+            cfg = transient_config(tmp_path / out, shot_grid=shot_grid)
+            cache = FieldCache.for_config(cfg)
+            run_shot_sweep(cfg, run_offline(cfg, cache), cache)
+            # drop the config hash column, which differs between the grids
+            return {
+                name: [line.split(",", 1)[1] for line in
+                       open(os.path.join(cfg.out_dir, name)).read().splitlines()[1:]]
+                for name in ("sweep.csv", "sweep_medians.csv")
+            }
+
+        once = sweep("once", (1_000,))
+        twice = sweep("twice", (1_000, 1_000))
+        # sweep.csv holds one line per seed (two), the medians one per budget
+        for name, k in (("sweep.csv", 2), ("sweep_medians.csv", 1)):
+            groups = [once[name][i:i + k] for i in range(0, len(once[name]), k)]
+            assert twice[name] == [line for g in groups for line in g + g]
 
     def test_median_epsilon_non_increasing_for_podr(self, tmp_path):
         cfg = transient_config(

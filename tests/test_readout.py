@@ -136,15 +136,6 @@ class TestPodrReadout:
         assert rep.n_b == 4
         assert len(rep.estimated_coefficients) == 4
 
-    def test_subregion_restriction(self):
-        basis, apx, x = small_problem()
-        sub = np.arange(50)
-        rep = podr_readout(x, basis, apx, 4000, seed=1, subregion=sub)
-        assert rep.reconstruction.shape == (50,)
-        full = podr_readout(x, basis, apx, 4000, seed=1)
-        assert rep.epsilon <= full.epsilon + 1e-12
-        assert np.allclose(rep.reconstruction, full.reconstruction[:50])
-
     def test_seed_determinism(self):
         basis, apx, x = small_problem()
         a = podr_readout(x, basis, apx, 4000, seed=9)

@@ -16,14 +16,23 @@ from podreadout.flow import (
     transient_pair,
     write_snapshot_file,
 )
-from podreadout.pipeline import FieldCache, run_offline, target_fields, unit_vector
+from podreadout.pipeline import (
+    FieldCache,
+    harmonized_shots,
+    run_offline,
+    target_fields,
+    unit_targets,
+)
 from podreadout.visualize import (
     emit_visual_comparison,
     stream_function,
     svg_heatmap,
-    visual_shot_budget,
     write_grid_csv,
 )
+
+
+def n_bs(offline):
+    return [art.basis.n_b for art in offline.components.values()]
 
 
 class TestStreamFunction:
@@ -78,8 +87,8 @@ class TestPanels:
 
         cfg, cache, offline = tiny_setup
         truth = target_fields(cfg, cache)
-        targets = {"ux": unit_vector(truth[0]), "uy": unit_vector(truth[1])}
-        shots = visual_shot_budget(cfg, offline, 1000)
+        targets = unit_targets(truth)
+        shots = harmonized_shots(1000, n_bs(offline))
         reports = {
             m: {c: run_cell(cfg, offline, targets, c, m, shots, 0)
                 for c in ("ux", "uy")}
@@ -104,8 +113,8 @@ class TestPanels:
 
         cfg, cache, offline = tiny_setup
         truth = target_fields(cfg, cache)
-        targets = {"ux": unit_vector(truth[0]), "uy": unit_vector(truth[1])}
-        shots = visual_shot_budget(cfg, offline, 10**6)
+        targets = unit_targets(truth)
+        shots = harmonized_shots(10**6, n_bs(offline))
         rep = run_cell(cfg, offline, targets, "ux", "PODR", shots, 0)
         psi_hat = stream_function(Field2D(cfg.nx, cfg.ny, rep.reconstruction)).grid()
         psi_true = stream_function(Field2D(cfg.nx, cfg.ny, targets["ux"])).grid()
@@ -190,6 +199,20 @@ class TestCli:
         assert main(["--config", str(cfg_path), "visualize", "--shots", "1000"]) == 0
         assert os.path.exists(tmp_path / "out" / "visual" / "PODR_psi.svg")
 
+    def test_readout_leaves_sweep_and_manifest_alone(self, tmp_path, capsys):
+        cfg_path = write_config(tmp_path)
+        out = tmp_path / "out"
+        assert main(["--config", str(cfg_path), "offline"]) == 0
+        assert main(["--config", str(cfg_path), "sweep"]) == 0
+        names = ("sweep.csv", "sweep_medians.csv", "manifest.json")
+        before = {name: (out / name).read_bytes() for name in names}
+        capsys.readouterr()
+        assert main(["--config", str(cfg_path), "readout", "--shots", "10000"]) == 0
+        assert capsys.readouterr().out.count("epsilon=") == 2 * 3
+        assert {name: (out / name).read_bytes() for name in names} == before
+        assert main(["--config", str(cfg_path), "offline"]) == 0
+        assert "(reused)" in capsys.readouterr().out
+
     def test_param_study_command(self, tmp_path):
         cfg_path = write_config(tmp_path)
         assert main(["--config", str(cfg_path), "param-study"]) == 0
@@ -252,6 +275,21 @@ class TestCli:
         assert os.path.exists(alt / "sweep.csv")
         lines = open(alt / "sweep.csv").read().splitlines()[1:]
         assert all(line.split(",")[6] == "5" for line in lines)
+
+
+@pytest.mark.parametrize("config, argv", [
+    pytest.param({}, ["--seed", "-1", "sweep"], id="seed-flag-negative"),
+    pytest.param({"seeds": [-1]}, ["sweep"], id="seeds-key-negative"),
+    pytest.param({"seeds": [0.5]}, ["sweep"], id="seeds-key-fraction"),
+    pytest.param({}, ["readout", "--shots", "-3"], id="readout-shots-negative"),
+    pytest.param({}, ["readout", "--shots", "0"], id="readout-shots-zero"),
+    pytest.param({}, ["visualize", "--shots", "-7"], id="visualize-shots-negative"),
+    pytest.param({}, ["visualize", "--shots", "0"], id="visualize-shots-zero"),
+])
+def test_bad_seed_or_shots_exits_2_before_writing(tmp_path, capsys, config, argv):
+    cfg_path = write_config(tmp_path, **config)
+    assert_config_error(tmp_path, capsys, ["--config", str(cfg_path), *argv])
+    assert not (tmp_path / "out").exists()
 
 
 STUDIES = {"param-study": ["param-study"],
