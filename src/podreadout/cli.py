@@ -83,7 +83,7 @@ def _cmd_offline(args):
     for comp, art in result.components.items():
         print(
             f"{comp}: n_b={art.basis.n_b} chis={list(art.plan.chis)} "
-            f"e_proj_est={art.e_proj_est:.3e} e_enc_est={art.e_enc_est:.3e}"
+            f"e_proj_est={art.e_proj_est:.3e} e_enc_est={art.plan.estimated_error:.3e}"
             + (" (reused)" if result.reused else "")
         )
     return 0
@@ -91,7 +91,7 @@ def _cmd_offline(args):
 
 def _cmd_readout(args):
     cfg = _load(args)
-    shots = _check_shots(args.shots) if args.shots is not None else int(cfg.shot_grid[0])
+    shots = _check_shots(args.shots) if args.shots is not None else cfg.shot_grid[0]
     cache = pipeline.FieldCache.for_config(cfg)
     offline = pipeline.run_offline(cfg, cache)
     targets = pipeline.unit_targets(pipeline.target_fields(cfg, cache))

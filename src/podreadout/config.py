@@ -84,8 +84,10 @@ def validate_config(cfg: ExperimentConfig) -> ExperimentConfig:
         raise ConfigError(f"unknown case {cfg.case!r}")
     if not cfg.methods or any(m not in METHODS for m in cfg.methods):
         raise ConfigError(f"methods must be a nonempty subset of {METHODS}")
-    if not cfg.shot_grid or any(int(s) < 1 for s in cfg.shot_grid):
-        raise ConfigError("shot_grid must hold positive integers")
+    if not cfg.shot_grid or any(
+        isinstance(s, bool) or not isinstance(s, int) or s < 1 for s in cfg.shot_grid
+    ):
+        raise ConfigError("shot_grid must be a nonempty list of positive integers")
     if not cfg.seeds or any(
         isinstance(s, bool) or not isinstance(s, int) or s < 0 for s in cfg.seeds
     ):

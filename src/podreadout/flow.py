@@ -85,8 +85,6 @@ class CavityRun:
 
     u_x: Field2D
     u_y: Field2D
-    psi: np.ndarray
-    omega: np.ndarray
     residuals: np.ndarray
     iterations: int
 
@@ -211,7 +209,6 @@ def solve_cavity_run(
     tol: float = 1e-6,
     max_iters: int = 400_000,
     lid_speed: float = 1.0,
-    encode_bound: bool = True,
 ) -> CavityRun:
     """Solve the steady lid-driven cavity and keep the diagnostics.
 
@@ -228,18 +225,15 @@ def solve_cavity_run(
         raise FieldError(f"grid {nx}x{ny} too coarse, need at least 16 nodes per side")
     if tol <= 0:
         raise FieldError("tol must be positive")
-    if encode_bound and not (_is_pow2(nx) and _is_pow2(ny)):
-        raise FieldError(
-            f"grid {nx}x{ny} is not a power of two per side; pass "
-            "encode_bound=False for grids that will not be encoded"
-        )
+    if not (_is_pow2(nx) and _is_pow2(ny)):
+        raise FieldError(f"grid {nx}x{ny} is not a power of two per side")
 
     start = None
     if re > _LADDER_STEP:
         below = _LADDER_STEP * (math.ceil(re / _LADDER_STEP) - 1)
         key = (below, nx, ny, tol, max_iters, lid_speed)
         if key not in _ladder:
-            solve_cavity_run(below, nx, ny, tol, max_iters, lid_speed, encode_bound=False)
+            solve_cavity_run(below, nx, ny, tol, max_iters, lid_speed)
         start = _ladder[key]
     psi, omega, u_in, v_in, residuals = _newton(re, nx, ny, tol, max_iters, lid_speed, start)
     if re % _LADDER_STEP == 0:
@@ -247,8 +241,8 @@ def solve_cavity_run(
 
     u, v = np.pad(u_in, 1), np.pad(v_in, 1)
     u[-1, 1:-1] = lid_speed  # lid value at interior top nodes; corners stay no-slip
-    return CavityRun(u_x=Field2D.from_grid(u), u_y=Field2D.from_grid(v), psi=psi,
-                     omega=omega, residuals=residuals, iterations=len(residuals) - 1)
+    return CavityRun(u_x=Field2D.from_grid(u), u_y=Field2D.from_grid(v),
+                     residuals=residuals, iterations=len(residuals) - 1)
 
 
 # Traveling-vortex surrogate: fixed irrational wavenumbers in x keep the

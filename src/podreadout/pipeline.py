@@ -1,5 +1,9 @@
 """End-to-end orchestration: offline artifacts, shot sweeps and the two studies.
 
+problem_of is the one place that looks at the problem kind: every stage
+reads the Problem it returns.  Cavity fields come through a FieldCache;
+transient pairs are analytic and computed on each call.
+
 offline_component is the one offline stage (snapshot matrix, SVD, basis
 count, bond search) for one velocity component; run_offline persists its
 results and run_depth_study repeats it across grid sizes.
@@ -21,6 +25,7 @@ import logging
 import math
 import os
 from dataclasses import dataclass, replace
+from typing import Callable
 from pathlib import Path
 
 import numpy as np
@@ -87,18 +92,17 @@ def _load_stored_pair(path, nx, ny):
 
 
 class FieldCache:
-    """Memoizes cavity solves and transient snapshots across pipeline stages.
+    """Memoizes cavity solves across pipeline stages.
 
     Cavity solves also persist in store_dir, one .pods file per solve named by
     cavity_field_key, so later runs load them instead of solving again.  The
-    directory is made on the first write.  Transient snapshots are analytic
-    and stay in memory.
+    directory is made on the first write.  Transient pairs are not memoized:
+    they are analytic and cost less to compute than to keep.
     """
 
     def __init__(self, store_dir):
         self.store_dir = store_dir
         self._cavity = {}
-        self._transient = {}
 
     @classmethod
     def for_config(cls, cfg: ExperimentConfig) -> "FieldCache":
@@ -126,12 +130,6 @@ class FieldCache:
         self._cavity[key] = pair
         return pair
 
-    def transient(self, step, period, nx, ny, seed):
-        key = (int(step), int(period), nx, ny, int(seed))
-        if key not in self._transient:
-            self._transient[key] = flow.transient_pair(step, period, nx, ny, seed)
-        return self._transient[key]
-
 
 def read_input(read, path):
     """read(path) for a file the user named; a missing or unreadable one is a
@@ -147,23 +145,36 @@ def _read_ingested(cfg, read):
     return read_input(read, cfg.snapshot_ux), read_input(read, cfg.snapshot_uy)
 
 
-def ensemble_fields(cfg: ExperimentConfig, cache: FieldCache):
-    """Training snapshots for both components, with their parameter labels."""
-    if cfg.problem == "cavity":
-        pairs = [
-            cache.cavity(re, cfg.nx, cfg.ny, cfg.solver_tol, cfg.max_iters, cfg.lid_speed)
-            for re in cfg.reynolds
-        ]
-        labels = tuple(cfg.reynolds)
-    elif cfg.problem == "transient":
-        steps = range(cfg.window[0], cfg.window[1] + 1)
-        pairs = [
-            cache.transient(t, cfg.period, cfg.nx, cfg.ny, cfg.transient_seed)
-            for t in steps
-        ]
-        labels = tuple(steps)
-    else:
+@dataclass(frozen=True)
+class Problem:
+    """The fields of one config's problem, whatever its kind.
+
+    labels are the training parameters and target the held-out one; pair maps
+    a parameter to its (u_x, u_y).  axis is the param-study sweep, or None
+    when the snapshots have no parameter axis and exist at one grid only.
+    """
+
+    labels: tuple
+    target: object
+    pair: Callable
+    axis: tuple | None
+
+    def ensemble(self):
+        """Training u_x fields, u_y fields and their labels."""
+        pairs = [self.pair(p) for p in self.labels]
+        return [p[0] for p in pairs], [p[1] for p in pairs], self.labels
+
+
+def problem_of(cfg: ExperimentConfig, cache: FieldCache) -> Problem:
+    """The Problem a config describes; ingested snapshot files are read here."""
+    if cfg.problem == "ingested":
         ux_all, uy_all = _read_ingested(cfg, flow.read_snapshot_file)
+        for path, fields in ((cfg.snapshot_ux, ux_all), (cfg.snapshot_uy, uy_all)):
+            if fields and (fields[0].nx, fields[0].ny) != (cfg.nx, cfg.ny):
+                raise ConfigError(
+                    f"{path} holds {fields[0].nx}x{fields[0].ny} snapshots, "
+                    f"but the config grid is {cfg.nx}x{cfg.ny}"
+                )
         if len(ux_all) != len(uy_all):
             raise ConfigError(
                 f"ingested components disagree: {len(ux_all)} vs {len(uy_all)} snapshots"
@@ -172,27 +183,38 @@ def ensemble_fields(cfg: ExperimentConfig, cache: FieldCache):
             raise ConfigError(
                 f"target_index {cfg.target_index} outside the {len(ux_all)} snapshots"
             )
-        pairs = [
-            (ux_all[k], uy_all[k])
-            for k in range(len(ux_all))
-            if k != cfg.target_index
-        ]
         labels = tuple(k for k in range(len(ux_all)) if k != cfg.target_index)
-    return [p[0] for p in pairs], [p[1] for p in pairs], labels
+        return Problem(labels, cfg.target_index, lambda k: (ux_all[k], uy_all[k]), None)
+    if cfg.problem == "cavity":
+        def pair(re):
+            return cache.cavity(re, cfg.nx, cfg.ny, cfg.solver_tol, cfg.max_iters,
+                                cfg.lid_speed)
+        labels, target = tuple(cfg.reynolds), cfg.target_reynolds
+        # each Re and the midpoints to its neighbours, in the solver's range
+        res = sorted(cfg.reynolds)
+        half = min((b - a for a, b in zip(res, res[1:])), default=res[0]) / 2.0
+        axis = tuple(dict.fromkeys(
+            v for re in res for v in (re - half, re, re + half) if 1.0 <= v <= 5000.0))
+    else:
+        def pair(step):
+            return flow.transient_pair(step, cfg.period, cfg.nx, cfg.ny, cfg.transient_seed)
+        first, last = cfg.window
+        labels, target = tuple(range(first, last + 1)), cfg.target_step
+        axis = tuple(range(first, last + cfg.period + 1))
+    if cfg.param_sweep is not None:
+        axis = cfg.param_sweep
+    return Problem(labels, target, pair, axis)
+
+
+def ensemble_fields(cfg: ExperimentConfig, cache: FieldCache):
+    """Training snapshots for both components, with their parameter labels."""
+    return problem_of(cfg, cache).ensemble()
 
 
 def target_fields(cfg: ExperimentConfig, cache: FieldCache):
-    if cfg.problem == "cavity":
-        return cache.cavity(
-            cfg.target_reynolds, cfg.nx, cfg.ny, cfg.solver_tol, cfg.max_iters,
-            cfg.lid_speed,
-        )
-    if cfg.problem == "transient":
-        return cache.transient(
-            cfg.target_step, cfg.period, cfg.nx, cfg.ny, cfg.transient_seed
-        )
-    ux_all, uy_all = _read_ingested(cfg, flow.read_snapshot_file)
-    return ux_all[cfg.target_index], uy_all[cfg.target_index]
+    """The held-out (u_x, u_y) pair."""
+    prob = problem_of(cfg, cache)
+    return prob.pair(prob.target)
 
 
 def unit_vector(field: flow.Field2D) -> np.ndarray:
@@ -213,7 +235,6 @@ class OfflineComponent:
     plan: mps.BondPlan
     approximants: list
     e_proj_est: float
-    e_enc_est: float
 
 
 def offline_component(fields, labels, thresholds, chi_cap) -> OfflineComponent:
@@ -235,7 +256,6 @@ def offline_component(fields, labels, thresholds, chi_cap) -> OfflineComponent:
         plan=plan,
         approximants=approximants,
         e_proj_est=e_proj_est,
-        e_enc_est=plan.estimated_error,
     )
 
 
@@ -253,11 +273,13 @@ def _component_files(comp: str, n_b: int):
 
 
 def _snapshot_digests(cfg):
-    """Content digests of an ingested config's snapshot files.
+    """Content digests of an ingested config's snapshot files, else None.
 
     The config hash covers the paths only; these make offline reuse notice
     files rewritten in place.
     """
+    if cfg.problem != "ingested":
+        return None
     return dict(zip(COMPONENTS, _read_ingested(cfg, sha256_file)))
 
 
@@ -268,9 +290,7 @@ def _try_reuse(cfg, out_dir, manifest_path):
         return None
     if manifest.get("config_hash") != config_hash(cfg):
         return None
-    if cfg.problem == "ingested" and (
-        manifest.get("snapshot_sha256") != _snapshot_digests(cfg)
-    ):
+    if manifest.get("snapshot_sha256") != _snapshot_digests(cfg):
         return None
     components = {}
     for comp in COMPONENTS:
@@ -291,7 +311,6 @@ def _try_reuse(cfg, out_dir, manifest_path):
             plan=mps.BondPlan(tuple(entry["chis"]), entry["e_enc_est"]),
             approximants=approximants,
             e_proj_est=entry["e_proj_est"],
-            e_enc_est=entry["e_enc_est"],
         )
     return OfflineResult(components=components, manifest=manifest, reused=True)
 
@@ -319,8 +338,9 @@ def run_offline(cfg: ExperimentConfig, cache: FieldCache | None = None) -> Offli
         "thresholds": list(cfg.thresholds),
         "components": {},
     }
-    if cfg.problem == "ingested":  # hashed before reading: a rewrite never goes unseen
-        manifest["snapshot_sha256"] = _snapshot_digests(cfg)
+    digests = _snapshot_digests(cfg)  # hashed before reading: a rewrite never goes unseen
+    if digests is not None:
+        manifest["snapshot_sha256"] = digests
     ux_fields, uy_fields, labels = ensemble_fields(cfg, cache)
 
     components = {}
@@ -341,7 +361,7 @@ def run_offline(cfg: ExperimentConfig, cache: FieldCache | None = None) -> Offli
             "n_b": art.basis.n_b,
             "chis": list(art.plan.chis),
             "e_proj_est": art.e_proj_est,
-            "e_enc_est": art.e_enc_est,
+            "e_enc_est": art.plan.estimated_error,
             "files": files,
         }
     atomic_write_text(
@@ -403,7 +423,7 @@ def run_shot_sweep(cfg: ExperimentConfig, offline: OfflineResult,
 
     lines, rows, eps = [], [], {}
     for comp, method, n_shot, seed in itertools.product(
-        COMPONENTS, cfg.methods, map(int, cfg.shot_grid), map(int, cfg.seeds)
+        COMPONENTS, cfg.methods, cfg.shot_grid, cfg.seeds
     ):
         # a report holds 2^n-entry arrays: keep only the scalars of its row,
         # and free it before the next cell allocates its own
@@ -437,7 +457,7 @@ def run_shot_sweep(cfg: ExperimentConfig, offline: OfflineResult,
         MEDIAN_HEADER,
         [
             f"{h},{method},{comp},{n_shot},"
-            f"{fmt(float(np.median(eps[comp, method, int(n_shot)])))}"
+            f"{fmt(float(np.median(eps[comp, method, n_shot])))}"
             for comp in COMPONENTS
             for method in cfg.methods
             for n_shot in cfg.shot_grid
@@ -446,37 +466,14 @@ def run_shot_sweep(cfg: ExperimentConfig, offline: OfflineResult,
     return rows
 
 
-def default_param_sweep(cfg: ExperimentConfig):
-    if cfg.param_sweep is not None:
-        return cfg.param_sweep
-    if cfg.problem == "cavity":
-        lo = min(cfg.reynolds)
-        step = min(
-            (b - a for a, b in zip(sorted(cfg.reynolds), sorted(cfg.reynolds)[1:])),
-            default=lo,
-        )
-        half = step / 2.0
-        vals = []
-        for re in sorted(cfg.reynolds):
-            vals.extend([re - half, re, re + half])
-        # keep values in the solver's range, dedupe, preserve order
-        seen = []
-        for v in vals:
-            if 1.0 <= v <= 5000.0 and v not in seen:
-                seen.append(v)
-        return tuple(seen)
-    return tuple(range(cfg.window[0], cfg.window[1] + cfg.period + 1))
-
-
 def run_param_study(cfg: ExperimentConfig, cache: FieldCache | None = None):
     """Exact projection error across a parameter sweep at both case settings."""
-    if cfg.problem == "ingested":
+    prob = problem_of(cfg, cache or FieldCache.for_config(cfg))
+    if prob.axis is None:
         raise ConfigError(
             "param-study needs a parameter axis; ingested snapshots have none"
         )
-    cache = cache or FieldCache.for_config(cfg)
-    ux_fields, uy_fields, labels = ensemble_fields(cfg, cache)
-    sweep = default_param_sweep(cfg)
+    ux_fields, uy_fields, labels = prob.ensemble()
     h = config_hash(cfg)
 
     rows = []
@@ -491,15 +488,8 @@ def run_param_study(cfg: ExperimentConfig, cache: FieldCache | None = None):
             case: pod.select_nb(basis.sigma, s.m, thr[0])
             for case, thr in CASE_THRESHOLDS.items()
         }
-    for param in sweep:
-        if cfg.problem == "cavity":
-            fx, fy = cache.cavity(
-                param, cfg.nx, cfg.ny, cfg.solver_tol, cfg.max_iters, cfg.lid_speed
-            )
-        else:
-            fx, fy = cache.transient(
-                int(param), cfg.period, cfg.nx, cfg.ny, cfg.transient_seed
-            )
+    for param in prob.axis:
+        fx, fy = prob.pair(param)
         in_ensemble = param in labels
         for comp, f in (("ux", fx), ("uy", fy)):
             x = unit_vector(f)
@@ -550,14 +540,14 @@ def run_depth_study(cfg: ExperimentConfig, cache: FieldCache | None = None,
     on coarse grids the greedy plan can leave the last basis cheaper than an
     earlier one.  Writes depth_study.csv into cfg.out_dir.
     """
-    if cfg.problem == "ingested":
+    cache = cache or FieldCache.for_config(cfg)
+    if problem_of(cfg, cache).axis is None:
         raise ConfigError(
             "depth-study re-solves the ensemble on each grid size; "
             "ingested snapshots exist at one grid only"
         )
     sizes = tuple(grid_sizes) if grid_sizes is not None else cfg.grid_sizes
     sides = _depth_study_sides(sizes)
-    cache = cache or FieldCache.for_config(cfg)
     rows = []
     for size, side in zip(sizes, sides):
         try:

@@ -16,10 +16,10 @@ from podreadout.errors import ConfigError, NumericalError
 from podreadout.flow import transient_pair, write_snapshot_file
 from podreadout.pipeline import (
     FieldCache,
-    default_param_sweep,
     ensemble_fields,
     harmonized_shots,
     podr_shots,
+    problem_of,
     run_depth_study,
     run_offline,
     run_param_study,
@@ -310,8 +310,36 @@ class TestParamStudy:
             problem="cavity", nx=64, ny=64, reynolds=(100.0, 200.0, 300.0),
             target_reynolds=250.0, out_dir=str(tmp_path),
         )
-        sweep = default_param_sweep(cfg)
+        sweep = problem_of(cfg, FieldCache.for_config(cfg)).axis
         assert sweep == (50.0, 100.0, 150.0, 200.0, 250.0, 300.0, 350.0)
+
+
+class TestProblem:
+    def test_param_sweep_replaces_the_default_axis(self, tmp_path):
+        cfg = transient_config(tmp_path / "out")
+        cache = FieldCache.for_config(cfg)
+        prob = problem_of(cfg, cache)
+        assert prob.labels == tuple(range(0, 21)) and prob.target == 25
+        assert prob.axis == tuple(range(0, 31))
+        swept = dataclasses.replace(cfg, param_sweep=(3, 7))
+        assert problem_of(swept, cache).axis == (3, 7)
+
+    def test_ingested_has_no_axis_even_with_a_param_sweep(self, tmp_path):
+        pairs = [transient_pair(t, 8, 32, 16, seed=1) for t in range(4)]
+        for k, comp in enumerate(("ux", "uy")):
+            write_snapshot_file([p[k] for p in pairs], tmp_path / f"{comp}.pods")
+        cfg = ExperimentConfig(
+            problem="ingested", nx=32, ny=16, snapshot_ux=str(tmp_path / "ux.pods"),
+            snapshot_uy=str(tmp_path / "uy.pods"), target_index=1, param_sweep=(0, 2),
+            out_dir=str(tmp_path / "out"),
+        )
+        prob = problem_of(cfg, FieldCache.for_config(cfg))
+        assert prob.axis is None and prob.labels == (0, 2, 3) and prob.target == 1
+        assert prob.pair(2)[1].values.tobytes() == pairs[2][1].values.tobytes()
+        with pytest.raises(ConfigError, match="param-study needs a parameter axis"):
+            run_param_study(cfg)
+        with pytest.raises(ConfigError, match="ingested snapshots exist at one grid"):
+            run_depth_study(cfg)
 
 
 class TestDepthStudyOffline:

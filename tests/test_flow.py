@@ -141,7 +141,6 @@ class TestCavity:
             solve_cavity_run(0.5, 32, 32)
         with pytest.raises(FieldError):
             solve_cavity_run(100.0, 48, 48)  # not a power of two
-        solve_cavity_run(100.0, 48, 48, tol=1e-4, encode_bound=False)
 
     @pytest.mark.slow
     def test_centerline_matches_fine_grid_oracle(self, cache, oracle_256):

@@ -281,6 +281,7 @@ class TestCli:
     pytest.param({}, ["--seed", "-1", "sweep"], id="seed-flag-negative"),
     pytest.param({"seeds": [-1]}, ["sweep"], id="seeds-key-negative"),
     pytest.param({"seeds": [0.5]}, ["sweep"], id="seeds-key-fraction"),
+    pytest.param({"shot_grid": [1000.5, 2000]}, ["sweep"], id="shot-grid-key-fraction"),
     pytest.param({}, ["readout", "--shots", "-3"], id="readout-shots-negative"),
     pytest.param({}, ["readout", "--shots", "0"], id="readout-shots-zero"),
     pytest.param({}, ["visualize", "--shots", "-7"], id="visualize-shots-negative"),
@@ -292,7 +293,9 @@ def test_bad_seed_or_shots_exits_2_before_writing(tmp_path, capsys, config, argv
     assert not (tmp_path / "out").exists()
 
 
-STUDIES = {"param-study": ["param-study"],
+STUDIES = {"solve": ["solve"], "offline": ["offline"], "readout": ["readout"],
+           "sweep": ["sweep"], "visualize": ["visualize", "--shots", "1000"],
+           "param-study": ["param-study"],
            "depth-study": ["depth-study", "--sizes", "256,1024"]}
 
 
@@ -301,7 +304,7 @@ STUDIES = {"param-study": ["param-study"],
 def test_every_problem_runs_each_study_or_exits_2(tmp_path, capsys, problem, study):
     cfg_path = write_problem_config(tmp_path, problem)
     argv = ["--config", str(cfg_path), *STUDIES[study]]
-    if problem == "ingested":
+    if problem == "ingested" and study in ("param-study", "depth-study"):
         # one grid and no parameter axis: neither study can run
         assert_config_error(tmp_path, capsys, argv)
     else:
@@ -318,6 +321,21 @@ def test_missing_ingested_file_exits_2_naming_it(tmp_path, capsys, argv):
     assert main(["--config", str(cfg_path), *argv]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and str(missing) in err
+
+
+@pytest.mark.parametrize("command", ["offline", "sweep", "visualize"])
+def test_ingested_grid_mismatch_exits_2_naming_file_and_grids(tmp_path, capsys, command):
+    pairs = [transient_pair(t, 8, 32, 16, seed=1) for t in range(4)]
+    for k, comp in enumerate(("ux", "uy")):
+        write_snapshot_file([p[k] for p in pairs], tmp_path / f"{comp}.pods")
+    cfg_path = write_config(tmp_path, problem="ingested", nx=64, ny=64, window=None,
+                            target_step=None, snapshot_ux=str(tmp_path / "ux.pods"),
+                            snapshot_uy=str(tmp_path / "uy.pods"), target_index=3)
+    assert main(["--config", str(cfg_path), command]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and str(tmp_path / "ux.pods") in err
+    assert "32x16" in err and "64x64" in err
+    assert not any(p.suffix == ".csv" for p in tmp_path.rglob("*"))
 
 
 @pytest.mark.parametrize("name", ["gone.pods", "gone.csv"])
