@@ -14,8 +14,14 @@ The search does that ascent incrementally.  Each compression's overlap row
 <approx_i, u_j> is computed once, and a trial doubling is scored by swapping
 its row into the current n_b x n_b overlap matrix; the estimator itself runs
 once per accepted doubling.  Each sweep remembers the first cut its cap
-truncated, so the doubled compression resumes there: every earlier cut is
+truncated, together with that cut's factorization, so the doubled
+compression resumes there without factoring it again: every earlier cut is
 the same under chi and 2 chi.
+
+A wide cut (more columns than rows, as in the first half of the sweep) is
+factored as the SVD of its transpose.  numpy hands a wide C-order matrix to
+LAPACK's slow path; its transpose is a tall Fortran-order one, about 2-3x
+faster at the sweep's shapes.
 """
 
 from __future__ import annotations
@@ -52,18 +58,28 @@ def from_lsb_flat(y: np.ndarray, n: int) -> np.ndarray:
     return y.reshape((2,) * n).reshape(-1, order="F")
 
 
+def _svd(mat):
+    """Thin SVD (u, s, vt) of mat; a wide mat is factored through its transpose."""
+    if mat.shape[1] > mat.shape[0]:
+        u, s, vt = np.linalg.svd(mat.T, full_matrices=False)
+        return vt.T, s, u.T
+    return np.linalg.svd(mat, full_matrices=False)
+
+
 @dataclass(frozen=True)
 class _SweepState:
     """A sweep under cap chi_max as it entered cut, the first cut it truncated.
 
-    cores are the cores left of that cut and carry the matrix the cut splits
-    (at most 2^n entries); cut is n - 1 when no cut was truncated.
+    cores are the cores left of that cut and factors the untruncated
+    (u, s, vt) of the matrix the cut splits (about as large as that matrix).
+    When no cut was truncated, cut is n - 1, cores are all n cores and
+    factors is None.
     """
 
     cut: int
     chi_max: int
     cores: list
-    carry: np.ndarray
+    factors: tuple | None
 
 
 @dataclass
@@ -98,8 +114,9 @@ def tt_svd(x, chi_max: int, resume: _SweepState | None = None) -> MpsVector:
 
     resume is the .resume of an earlier sweep of the same x under a cap no
     larger than chi_max.  Every cut before its first truncated cut keeps its
-    full rank under either cap, so the sweep restarts at that cut and gives
-    the same bytes as a fresh one.  The result records its own resume state.
+    full rank under either cap, so the sweep restarts at that cut, with the
+    factorization the earlier sweep made there, and gives the same bytes as a
+    fresh one.  The result records its own resume state.
     """
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 1:
@@ -107,6 +124,7 @@ def tt_svd(x, chi_max: int, resume: _SweepState | None = None) -> MpsVector:
     n = _n_qubits(x.size)
     if chi_max < 1:
         raise FieldError("chi_max must be at least 1")
+    factors = None
     if resume is None:
         norm_x = np.linalg.norm(x)
         if norm_x == 0.0:
@@ -115,16 +133,16 @@ def tt_svd(x, chi_max: int, resume: _SweepState | None = None) -> MpsVector:
     elif resume.chi_max > chi_max:
         raise FieldError(f"cannot resume a chi_max {resume.chi_max} sweep under {chi_max}")
     else:
-        start, cores, carry = resume.cut, list(resume.cores), resume.carry
+        start, cores, factors = resume.cut, list(resume.cores), resume.factors
 
     left = cores[-1].shape[2] if cores else 1
     state = None
     for k in range(start, n - 1):
-        mat = carry.reshape(left * 2, -1)
-        u, s, vt = np.linalg.svd(mat, full_matrices=False)
+        u, s, vt = factors or _svd(carry.reshape(left * 2, -1))
+        factors = None
         keep = max(1, int(np.sum(s > s[0] * _RANK_CUTOFF)))
         if keep > chi_max and state is None:
-            state = _SweepState(k, chi_max, list(cores), carry)
+            state = _SweepState(k, chi_max, list(cores), (u, s, vt))
         keep = min(keep, chi_max)
         u = u[:, :keep]
         s = s[:keep]
@@ -136,11 +154,12 @@ def tt_svd(x, chi_max: int, resume: _SweepState | None = None) -> MpsVector:
         cores.append(u.reshape(left, 2, keep))
         carry = s[:, None] * vt
         left = keep
+    if len(cores) < n:
+        last = carry.reshape(left, 2, 1)
+        last = last / np.linalg.norm(last)  # earlier cores are left-orthogonal
+        cores.append(last)
     if state is None:
-        state = _SweepState(n - 1, chi_max, list(cores), carry)
-    last = carry.reshape(left, 2, 1)
-    last = last / np.linalg.norm(last)  # earlier cores are left-orthogonal
-    cores.append(last)
+        state = _SweepState(n - 1, chi_max, list(cores), None)
 
     m = MpsVector(n_qubits=n, cores=cores, chi_max=chi_max, resume=state)
     m.dense = _contract_cores(cores, n)

@@ -4,9 +4,11 @@ problem_of is the one place that looks at the problem kind: every stage
 reads the Problem it returns.  Cavity fields come through a FieldCache;
 transient pairs are analytic and computed on each call.
 
-offline_component is the one offline stage (snapshot matrix, SVD, basis
-count, bond search) for one velocity component; run_offline persists its
-results and run_depth_study repeats it across grid sizes.
+pod_bases builds and factors both components' snapshot matrices; only then
+does offline_component, the one offline stage (basis count, bond search),
+run on each component's basis.  run_offline persists its results,
+run_depth_study repeats it across grid sizes and run_param_study reads the
+same bases.
 
 All CSV output is deterministic for a given config: fixed row order, fixed
 17-significant-digit float formatting, randomness derived only from the
@@ -184,6 +186,11 @@ def problem_of(cfg: ExperimentConfig, cache: FieldCache) -> Problem:
                 f"target_index {cfg.target_index} outside the {len(ux_all)} snapshots"
             )
         labels = tuple(k for k in range(len(ux_all)) if k != cfg.target_index)
+        if not labels:
+            raise ConfigError(
+                f"the ingested files hold {len(ux_all)} snapshot, the target "
+                f"(target_index {cfg.target_index}): none is left to train on"
+            )
         return Problem(labels, cfg.target_index, lambda k: (ux_all[k], uy_all[k]), None)
     if cfg.problem == "cavity":
         def pair(re):
@@ -229,6 +236,24 @@ def unit_targets(truth) -> dict:
     return dict(zip(COMPONENTS, map(unit_vector, truth)))
 
 
+def pod_bases(prob: Problem) -> dict:
+    """{"ux": ..., "uy": ...} POD bases (n_b = m) of a problem's training ensemble.
+
+    Both snapshot matrices are built before either is factored: the fields
+    are dropped once both exist and each matrix once it is factored, so no
+    snapshot data outlives this call.
+    """
+    ux, uy, labels = prob.ensemble()
+    mats = {}
+    for comp, fields in (("ux", ux), ("uy", uy)):
+        try:
+            mats[comp] = pod.build_snapshot_matrix(fields, labels)
+        except FieldError as exc:
+            raise FieldError(f"component {comp}: {exc}") from exc
+    del ux, uy, fields
+    return {comp: pod.pod_decompose(mats.pop(comp)) for comp in COMPONENTS}
+
+
 @dataclass
 class OfflineComponent:
     basis: pod.PodBasisSet
@@ -237,19 +262,17 @@ class OfflineComponent:
     e_proj_est: float
 
 
-def offline_component(fields, labels, thresholds, chi_cap) -> OfflineComponent:
-    """The offline stage for one velocity component.
+def offline_component(basis, thresholds, chi_cap) -> OfflineComponent:
+    """The offline stage for one velocity component, from its POD basis.
 
-    Snapshot matrix, thin SVD, the smallest n_b whose projection estimator
-    clears thresholds[0], then the bond search that brings the encoding
-    estimator under thresholds[1] with every bond at most chi_cap.
+    The smallest n_b whose projection estimator clears thresholds[0], then
+    the bond search that brings the encoding estimator under thresholds[1]
+    with every bond at most chi_cap.
     """
     proj_thr, enc_thr = thresholds
-    s = pod.build_snapshot_matrix(fields, labels)
-    basis = pod.pod_decompose(s)
-    n_b = pod.select_nb(basis.sigma, s.m, proj_thr)
+    n_b = pod.select_nb(basis.sigma, basis.m, proj_thr)
     basis = basis.with_nb(n_b)
-    e_proj_est = pod.proj_error_estimator(basis.sigma, s.m, n_b)
+    e_proj_est = pod.proj_error_estimator(basis.sigma, basis.m, n_b)
     plan, approximants = mps.search_bond_plan(basis, enc_thr, chi_cap)
     return OfflineComponent(
         basis=basis,
@@ -341,12 +364,12 @@ def run_offline(cfg: ExperimentConfig, cache: FieldCache | None = None) -> Offli
     digests = _snapshot_digests(cfg)  # hashed before reading: a rewrite never goes unseen
     if digests is not None:
         manifest["snapshot_sha256"] = digests
-    ux_fields, uy_fields, labels = ensemble_fields(cfg, cache)
+    bases = pod_bases(problem_of(cfg, cache))
 
     components = {}
-    for comp, fields in (("ux", ux_fields), ("uy", uy_fields)):
+    for comp in COMPONENTS:
         try:
-            art = offline_component(fields, labels, cfg.thresholds, cfg.chi_cap)
+            art = offline_component(bases[comp], cfg.thresholds, cfg.chi_cap)
         except NumericalError as exc:
             raise NumericalError(f"offline stage, component {comp}: {exc}") from exc
         components[comp] = art
@@ -473,24 +496,21 @@ def run_param_study(cfg: ExperimentConfig, cache: FieldCache | None = None):
         raise ConfigError(
             "param-study needs a parameter axis; ingested snapshots have none"
         )
-    ux_fields, uy_fields, labels = prob.ensemble()
+    bases = pod_bases(prob)
     h = config_hash(cfg)
 
     rows = []
     lines = []
-    bases = {}
-    nbs = {}
-    for comp, fields in (("ux", ux_fields), ("uy", uy_fields)):
-        s = pod.build_snapshot_matrix(fields, labels)
-        basis = pod.pod_decompose(s)
-        bases[comp] = basis
-        nbs[comp] = {
-            case: pod.select_nb(basis.sigma, s.m, thr[0])
+    nbs = {
+        comp: {
+            case: pod.select_nb(basis.sigma, basis.m, thr[0])
             for case, thr in CASE_THRESHOLDS.items()
         }
+        for comp, basis in bases.items()
+    }
     for param in prob.axis:
         fx, fy = prob.pair(param)
-        in_ensemble = param in labels
+        in_ensemble = param in prob.labels
         for comp, f in (("ux", fx), ("uy", fy)):
             x = unit_vector(f)
             basis = bases[comp]
@@ -534,7 +554,8 @@ def run_depth_study(cfg: ExperimentConfig, cache: FieldCache | None = None,
     """Circuit cost of the offline stage across grid sizes, at case-2 thresholds.
 
     For each total size N in grid_sizes (default cfg.grid_sizes) the ensemble
-    is rebuilt on a sqrt(N) x sqrt(N) grid and run through offline_component.
+    is rebuilt on a sqrt(N) x sqrt(N) grid and run through pod_bases and
+    offline_component.
     Each row reports the costliest of the n_b approximants, the per-shot
     state-preparation upper bound; that is normally the n_b-th basis, though
     on coarse grids the greedy plan can leave the last basis cheaper than an
@@ -551,12 +572,10 @@ def run_depth_study(cfg: ExperimentConfig, cache: FieldCache | None = None,
     rows = []
     for size, side in zip(sizes, sides):
         try:
-            ux_fields, uy_fields, labels = ensemble_fields(
-                replace(cfg, nx=side, ny=side), cache
-            )
-            for comp, fields in (("ux", ux_fields), ("uy", uy_fields)):
+            bases = pod_bases(problem_of(replace(cfg, nx=side, ny=side), cache))
+            for comp in COMPONENTS:
                 art = offline_component(
-                    fields, labels, CASE_THRESHOLDS["case2"], cfg.chi_cap
+                    bases[comp], CASE_THRESHOLDS["case2"], cfg.chi_cap
                 )
                 cost = max(
                     (circuit.circuit_cost(m) for m in art.approximants),

@@ -37,7 +37,7 @@ class SnapshotMatrix:
             raise FieldError(f"need more grid points than snapshots, got n={n}, m={m}")
         if len(self.labels) != m:
             raise FieldError(f"{len(self.labels)} labels for {m} snapshots")
-        norms = np.linalg.norm(d, axis=0)
+        norms = np.sqrt(np.einsum("ij,ij->j", d, d))  # no n x m temporary
         if np.abs(norms - 1.0).max() > 1e-12:
             bad = int(np.argmax(np.abs(norms - 1.0)))
             raise FieldError(f"column {bad} has norm {norms[bad]!r}, expected 1")
@@ -90,7 +90,7 @@ def build_snapshot_matrix(fields, labels) -> SnapshotMatrix:
     if len(labels) != len(fields):
         raise FieldError(f"{len(labels)} labels for {len(fields)} snapshots")
     shape = (fields[0].nx, fields[0].ny)
-    cols = []
+    data = np.empty((shape[0] * shape[1], len(fields)))
     for k, f in enumerate(fields):
         if (f.nx, f.ny) != shape:
             raise FieldError(
@@ -101,10 +101,10 @@ def build_snapshot_matrix(fields, labels) -> SnapshotMatrix:
         nrm = np.linalg.norm(f.values)
         if nrm == 0.0:
             raise FieldError(f"snapshot {k}: zero norm, cannot normalize")
-        cols.append(f.values / nrm)
+        np.divide(f.values, nrm, out=data[:, k])
     if len(set(labels)) != len(labels):
         warnings.warn("duplicate snapshot labels", stacklevel=2)
-    return SnapshotMatrix(data=np.column_stack(cols), labels=tuple(labels))
+    return SnapshotMatrix(data=data, labels=tuple(labels))
 
 
 def pod_decompose(s: SnapshotMatrix) -> PodBasisSet:
@@ -162,15 +162,15 @@ def exact_projection_error(x, basis: PodBasisSet, n_b: int | None = None) -> flo
 
 def save_basis(basis: PodBasisSet, path) -> None:
     """Persist: magic, version, n, m, n_b, sigma, u column-major, v column-major."""
-    header = BASIS_MAGIC + struct.pack(
-        "<IIII", BASIS_VERSION, basis.n, basis.m, basis.n_b
-    )
-    body = (
-        basis.sigma.astype("<f8").tobytes()
-        + np.asfortranarray(basis.u).astype("<f8").tobytes(order="F")
-        + np.asfortranarray(basis.v).astype("<f8").tobytes(order="F")
-    )
-    atomic_write_bytes(path, header + body)
+    n, m = basis.n, basis.m
+    data = bytearray(20 + 8 * (m + n * m + m * m))
+    data[:20] = BASIS_MAGIC + struct.pack("<IIII", BASIS_VERSION, n, m, basis.n_b)
+    # each array is copied once, straight into the file image
+    body = np.frombuffer(data, dtype="<f8", offset=20)
+    body[:m] = basis.sigma
+    body[m:m + n * m].reshape((n, m), order="F")[...] = basis.u
+    body[m + n * m:].reshape((m, m), order="F")[...] = basis.v
+    atomic_write_bytes(path, data)
 
 
 def load_basis(path) -> PodBasisSet:

@@ -5,6 +5,7 @@ import os
 import numpy as np
 import pytest
 
+from podreadout import mps, pod
 from podreadout.config import (
     CASE_THRESHOLDS,
     ExperimentConfig,
@@ -153,6 +154,16 @@ class TestOffline:
         changed = dataclasses.replace(cfg, target_step=26)
         res = run_offline(changed)
         assert not res.reused
+
+    def test_both_bases_before_any_bond_search(self, tmp_path, monkeypatch):
+        calls = []
+        for mod, name in ((pod, "pod_decompose"), (mps, "search_bond_plan")):
+            def spy(*args, _real=getattr(mod, name), _name=name, **kwargs):
+                calls.append(_name)
+                return _real(*args, **kwargs)
+            monkeypatch.setattr(mod, name, spy)
+        run_offline(transient_config(tmp_path / "out"))
+        assert calls == ["pod_decompose"] * 2 + ["search_bond_plan"] * 2
 
     def test_unreachable_threshold_names_stage(self, tmp_path):
         cfg = transient_config(tmp_path / "out", chi_cap=1, case="case2")

@@ -113,16 +113,38 @@ def smooth_vector(n, seed):
 
 
 def svd_cuts(monkeypatch, n):
-    """Record the cut index of every np.linalg.svd call (cut k splits 2^(n-k-1) columns)."""
+    """Record the cut index of every np.linalg.svd call.
+
+    Cut k splits a matrix of 2^(n-k-1) columns.  tt_svd hands a wide one to
+    the SVD as its transpose, a Fortran-order view whose rows are the cut's
+    columns; a tall or square one goes in as the C-order matrix itself.
+    """
     cuts = []
     real = np.linalg.svd
 
     def spy(mat, *args, **kwargs):
-        cuts.append(n - 1 - (mat.shape[1].bit_length() - 1))
+        cols = mat.shape[1] if mat.flags.c_contiguous else mat.shape[0]
+        cuts.append(n - 1 - (cols.bit_length() - 1))
         return real(mat, *args, **kwargs)
 
     monkeypatch.setattr(np.linalg, "svd", spy)
     return cuts
+
+
+class TestCutSvd:
+    @pytest.mark.parametrize("shape", [(2, 1024), (8, 128), (32, 64), (16, 16),
+                                       (64, 32), (128, 8)])
+    def test_matches_numpy_svd(self, shape):
+        # wide shapes go through the transpose, tall and square ones do not
+        mat = np.random.default_rng(sum(shape)).normal(size=shape)
+        u, s, vt = mps._svd(mat)
+        q = min(shape)
+        assert u.shape == (shape[0], q) and s.shape == (q,) and vt.shape == (q, shape[1])
+        want = np.linalg.svd(mat, compute_uv=False)
+        assert np.all(np.abs(s - want) <= 1e-14 * want)
+        assert np.allclose((u * s) @ vt, mat, rtol=0, atol=1e-13 * want[0])
+        assert np.allclose(u.T @ u, np.eye(q), rtol=0, atol=1e-14 * q)
+        assert np.allclose(vt @ vt.T, np.eye(q), rtol=0, atol=1e-14 * q)
 
 
 class TestResumedTtSvd:
@@ -142,11 +164,14 @@ class TestResumedTtSvd:
     def test_skips_the_cuts_the_smaller_cap_kept(self, monkeypatch):
         n = 10
         x = np.random.default_rng(5).normal(size=2**n)
-        start = tt_svd(x, 8)
-        assert start.resume.cut == 3  # bonds 2, 4, 8 fit under 8; cut 3 has rank 16
         cuts = svd_cuts(monkeypatch, n)
+        start = tt_svd(x, 8)
+        assert cuts == list(range(n - 1))
+        assert start.resume.cut == 3  # bonds 2, 4, 8 fit under 8; cut 3 has rank 16
+        cuts.clear()
         tt_svd(x, 16, resume=start.resume)
-        assert cuts == list(range(3, n - 1))
+        # cut 3 reuses the factorization the chi 8 sweep made there
+        assert cuts == list(range(4, n - 1))
 
     def test_rank_cutoff_below_cap_runs_no_svd(self, monkeypatch):
         # a sum of two product states has rank at most 2 at every cut

@@ -338,6 +338,21 @@ def test_ingested_grid_mismatch_exits_2_naming_file_and_grids(tmp_path, capsys, 
     assert not any(p.suffix == ".csv" for p in tmp_path.rglob("*"))
 
 
+@pytest.mark.parametrize("command", ["offline", "solve", "sweep"])
+def test_ingested_target_only_exits_2_naming_the_count(tmp_path, capsys, command):
+    # the one snapshot is the target, so the training set is empty
+    pair = transient_pair(0, 8, 32, 32, seed=1)
+    for k, comp in enumerate(("ux", "uy")):
+        write_snapshot_file([pair[k]], tmp_path / f"{comp}.pods")
+    cfg_path = write_config(tmp_path, problem="ingested", nx=32, ny=32, window=None,
+                            target_step=None, snapshot_ux=str(tmp_path / "ux.pods"),
+                            snapshot_uy=str(tmp_path / "uy.pods"), target_index=0)
+    assert main(["--config", str(cfg_path), command]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "1 snapshot" in err
+    assert not any((tmp_path / "out").rglob("*.*"))
+
+
 @pytest.mark.parametrize("name", ["gone.pods", "gone.csv"])
 def test_ingest_missing_file_exits_2_naming_it(tmp_path, capsys, name):
     missing = tmp_path / name
