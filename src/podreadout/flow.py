@@ -5,7 +5,7 @@ Three sources of velocity fields live here:
 * a steady lid-driven cavity solver (vorticity-streamfunction form,
   second-order central differences, Thom wall vorticity) that runs Newton's
   method with block-tridiagonal elimination on the discrete steady
-  equations, continued in Reynolds number along a fixed ladder,
+  equations, continued in Reynolds number along a fixed ladder (ladder_below),
 * a synthetic time-periodic ensemble built from an analytic stream
   function (four traveling vortex modes), and
 * a binary/CSV ingestion path for externally computed snapshots.
@@ -77,23 +77,47 @@ def _is_pow2(k: int) -> bool:
 
 @dataclass
 class CavityRun:
-    """Full solver output: velocity fields plus convergence diagnostics.
+    """Full solver output: (ny, nx) psi and omega grids, velocities, diagnostics.
 
     residuals[k] is the residual after k Newton steps; iterations counts the
-    steps of this solve alone, not those of the ladder solve it started from.
+    steps of this solve alone, not those of the solve it started from.
     """
 
+    psi: np.ndarray
+    omega: np.ndarray
     u_x: Field2D
     u_y: Field2D
     residuals: np.ndarray
     iterations: int
 
 
-# Reynolds continuation: a solve at Re starts from the solution at the largest
-# multiple of _LADDER_STEP below Re.  Solved ladder points are kept for the
-# life of the process, keyed by everything that decides them.
-_LADDER_STEP = 100
-_ladder = {}
+def _check_reynolds(re):
+    if not (1.0 <= re <= 5000.0):
+        raise FieldError(f"reynolds {re} outside supported range [1, 5000]")
+
+
+def ladder_below(re):
+    """The Reynolds number a solve at re starts from: the largest multiple of
+    100 below re, or None (rest) at re <= 100.  Raises FieldError outside
+    the solver's range [1, 5000], so no ladder is walked for such an re."""
+    _check_reynolds(re)
+    return 100 * (math.ceil(re / 100) - 1) if re > 100 else None
+
+
+def _velocity(psi, dx, dy):
+    """Central differences u = psi_y, v = -psi_x inside psi's outer ring."""
+    return ((psi[2:, 1:-1] - psi[:-2, 1:-1]) / (2.0 * dy),
+            -(psi[1:-1, 2:] - psi[1:-1, :-2]) / (2.0 * dx))
+
+
+def cavity_velocities(psi, lid_speed):
+    """(u_x, u_y) of a cavity stream-function grid: the solver's central
+    differences inside, no slip on the walls and lid_speed on the interior
+    top nodes (the corners stay no-slip)."""
+    ny, nx = psi.shape
+    u, v = (np.pad(w, 1) for w in _velocity(psi, 1.0 / (nx - 1), 1.0 / (ny - 1)))
+    u[-1, 1:-1] = lid_speed
+    return Field2D.from_grid(u), Field2D.from_grid(v)
 
 
 def _residuals(psi, omega, nu, dx, dy, lid):
@@ -109,8 +133,7 @@ def _residuals(psi, omega, nu, dx, dy, lid):
         c = 2.0 * f[1:-1, 1:-1]
         return (f[1:-1, 2:] - c + f[1:-1, :-2]) * cx + (f[2:, 1:-1] - c + f[:-2, 1:-1]) * cy
 
-    u = (psi[2:, 1:-1] - psi[:-2, 1:-1]) / (2.0 * dy)
-    v = -(psi[1:-1, 2:] - psi[1:-1, :-2]) / (2.0 * dx)
+    u, v = _velocity(psi, dx, dy)
     wx = (omega[1:-1, 2:] - omega[1:-1, :-2]) / (2.0 * dx)
     wy = (omega[2:, 1:-1] - omega[:-2, 1:-1]) / (2.0 * dy)
     return lap(psi) + omega[1:-1, 1:-1], nu * lap(omega) - (u * wx + v * wy), u, v, wx, wy
@@ -183,7 +206,7 @@ def _newton(re, nx, ny, tol, max_iters, lid, start):
         res = float(max(np.abs(f_poisson).max(), np.abs(f_transport).max()))
         residuals.append(res)
         if res <= tol:
-            return psi, omega, u, v, np.array(residuals)
+            return psi, omega, np.array(residuals)
         if not math.isfinite(res):
             why = "diverged"
         elif it == max_iters:
@@ -209,18 +232,18 @@ def solve_cavity_run(
     tol: float = 1e-6,
     max_iters: int = 400_000,
     lid_speed: float = 1.0,
+    start=None,
 ) -> CavityRun:
     """Solve the steady lid-driven cavity and keep the diagnostics.
 
     Newton's method on the discrete steady equations, stopped once the
     largest interior residual is at most tol; max_iters bounds the Newton
-    steps.  A solve at Re starts from the solution at the largest multiple
-    of 100 below Re (solved first if this process has not solved it yet),
-    or from rest at Re <= 100.  That start never depends on what was solved
-    before, so the result is a pure function of the arguments, bit for bit.
+    steps.  start is the (psi, omega) pair of (ny, nx) grids to begin from,
+    normally the solution at ladder_below(re) with the same other
+    arguments; None begins from rest.  The result is a pure function of the
+    arguments, bit for bit.
     """
-    if not (1.0 <= re <= 5000.0):
-        raise FieldError(f"reynolds {re} outside supported range [1, 5000]")
+    _check_reynolds(re)
     if nx < 16 or ny < 16:
         raise FieldError(f"grid {nx}x{ny} too coarse, need at least 16 nodes per side")
     if tol <= 0:
@@ -228,21 +251,17 @@ def solve_cavity_run(
     if not (_is_pow2(nx) and _is_pow2(ny)):
         raise FieldError(f"grid {nx}x{ny} is not a power of two per side")
 
-    start = None
-    if re > _LADDER_STEP:
-        below = _LADDER_STEP * (math.ceil(re / _LADDER_STEP) - 1)
-        key = (below, nx, ny, tol, max_iters, lid_speed)
-        if key not in _ladder:
-            solve_cavity_run(below, nx, ny, tol, max_iters, lid_speed)
-        start = _ladder[key]
-    psi, omega, u_in, v_in, residuals = _newton(re, nx, ny, tol, max_iters, lid_speed, start)
-    if re % _LADDER_STEP == 0:
-        _ladder[(re, nx, ny, tol, max_iters, lid_speed)] = (psi.copy(), omega.copy())
-
-    u, v = np.pad(u_in, 1), np.pad(v_in, 1)
-    u[-1, 1:-1] = lid_speed  # lid value at interior top nodes; corners stay no-slip
-    return CavityRun(u_x=Field2D.from_grid(u), u_y=Field2D.from_grid(v),
+    psi, omega, residuals = _newton(re, nx, ny, tol, max_iters, lid_speed, start)
+    u_x, u_y = cavity_velocities(psi, lid_speed)
+    return CavityRun(psi=psi, omega=omega, u_x=u_x, u_y=u_y,
                      residuals=residuals, iterations=len(residuals) - 1)
+
+
+# The functions whose source decides a cavity solve: the solver's code path,
+# the ladder rule and every flow function they call.  The field store's key
+# digests their source, so an edit anywhere else keeps stored solves valid.
+SOLVER_PATH = (ladder_below, solve_cavity_run, _check_reynolds, _is_pow2, _newton,
+               _newton_step, _residuals, _velocity, cavity_velocities)
 
 
 # Traveling-vortex surrogate: fixed irrational wavenumbers in x keep the
@@ -287,8 +306,7 @@ def transient_pair(step: int, period: int, nx: int, ny: int, seed: int):
                      + phases[k])
             * np.sin(math.pi * _MODE_FREQ_Y[k] * y)
         )
-    u = (psi[2:, 1:-1] - psi[:-2, 1:-1]) / (2.0 * dy)
-    v = -(psi[1:-1, 2:] - psi[1:-1, :-2]) / (2.0 * dx)
+    u, v = _velocity(psi, dx, dy)
     return Field2D.from_grid(u), Field2D.from_grid(v)
 
 

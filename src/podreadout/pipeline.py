@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import functools
 import hashlib
+import inspect
 import itertools
 import json
 import logging
@@ -61,21 +62,36 @@ def write_csv(path, header: str, rows) -> None:
     atomic_write_text(path, "\n".join([header, *rows]) + "\n")
 
 
+def _definition(fn, lines) -> str:
+    """fn's source, from its def line to the last line the compiler kept in
+    its code or a function nested in it; lines are its file's lines."""
+    codes, last = [fn.__code__], fn.__code__.co_firstlineno
+    while codes:
+        code = codes.pop()
+        last = max([last, *(line for _, _, line in code.co_lines() if line)])
+        codes.extend(c for c in code.co_consts if inspect.iscode(c))
+    return "".join(lines[fn.__code__.co_firstlineno - 1:last])
+
+
 @functools.cache
-def _solver_digest() -> str:
-    """sha256 of the solver source: an edited solver never meets old fields."""
-    return sha256_file(flow.__file__)
+def _solver_digest(module=flow) -> str:
+    """sha256 of the source of module's SOLVER_PATH (flow's by default): an
+    edited solver never meets old states, while edits elsewhere keep keys."""
+    lines = Path(module.__file__).read_text().splitlines(keepends=True)
+    source = "".join(_definition(fn, lines) for fn in module.SOLVER_PATH)
+    return hashlib.sha256(source.encode()).hexdigest()
 
 
 def cavity_field_key(re, nx, ny, tol, max_iters, lid_speed) -> str:
-    """Store key of one cavity solve: a digest of everything that decides it."""
-    doc = ["cavity", float(re), int(nx), int(ny), float(tol), int(max_iters),
+    """Store key of one cavity solve: a digest of the stored layout (psi, then
+    omega) and of everything that decides the solve."""
+    doc = ["cavity", "psi,omega", float(re), int(nx), int(ny), float(tol), int(max_iters),
            float(lid_speed), _solver_digest()]
     return hashlib.sha256(json.dumps(doc).encode()).hexdigest()
 
 
-def _load_stored_pair(path, nx, ny):
-    """The stored (u_x, u_y) pair, or None when it must be solved (again)."""
+def _load_stored_state(path, nx, ny):
+    """The stored (psi, omega) grids, or None when they must be solved (again)."""
     try:
         fields = flow.read_snapshot_file(path)
     except FileNotFoundError:
@@ -90,47 +106,47 @@ def _load_stored_pair(path, nx, ny):
             path, grids, nx, ny,
         )
         return None
-    return fields[0], fields[1]
+    return fields[0].grid(), fields[1].grid()
 
 
 class FieldCache:
-    """Memoizes cavity solves across pipeline stages.
+    """The cavity field store: one .pods file (psi, then omega) per steady
+    solve in store_dir, ladder points included, named by cavity_field_key.
 
-    Cavity solves also persist in store_dir, one .pods file per solve named by
-    cavity_field_key, so later runs load them instead of solving again.  The
-    directory is made on the first write.  Transient pairs are not memoized:
-    they are analytic and cost less to compute than to keep.
-    """
+    A missing or damaged solve starts from its ladder point's state, loaded
+    or solved first, and is written.  Velocities are derived from psi as the
+    solver derives them, so loaded and solved ones are bit-identical.
+    Transient pairs are analytic and cost less to compute than to keep."""
 
     def __init__(self, store_dir):
         self.store_dir = store_dir
-        self._cavity = {}
 
     @classmethod
     def for_config(cls, cfg: ExperimentConfig) -> "FieldCache":
         return cls(os.path.join(cfg.out_dir, "fields"))
 
-    def cavity(self, re, nx, ny, tol, max_iters, lid_speed):
-        key = (float(re), nx, ny, float(tol), max_iters, float(lid_speed))
-        if key in self._cavity:
-            return self._cavity[key]
-        path = os.path.join(self.store_dir, cavity_field_key(*key) + ".pods")
-        pair = _load_stored_pair(path, nx, ny)
-        if pair is not None:
+    def state(self, re, nx, ny, tol, max_iters, lid_speed):
+        """The (psi, omega) grids of one steady solve."""
+        path = os.path.join(
+            self.store_dir, cavity_field_key(re, nx, ny, tol, max_iters, lid_speed) + ".pods")
+        state = _load_stored_state(path, nx, ny)
+        if state is not None:
             log.info("cavity Re=%g on %dx%d loaded from store", re, nx, ny)
-        else:
-            run = flow.solve_cavity_run(
-                re, nx, ny, tol=tol, max_iters=max_iters, lid_speed=lid_speed
-            )
-            log.info(
-                "cavity Re=%g on %dx%d solved in %d iterations, final residual %.3e",
-                re, nx, ny, run.iterations, run.residuals[-1],
-            )
-            pair = (run.u_x, run.u_y)
-            os.makedirs(self.store_dir, exist_ok=True)
-            flow.write_snapshot_file(pair, path)
-        self._cavity[key] = pair
-        return pair
+            return state
+        below = flow.ladder_below(re)
+        start = None if below is None else self.state(below, nx, ny, tol, max_iters, lid_speed)
+        run = flow.solve_cavity_run(re, nx, ny, tol=tol, max_iters=max_iters,
+                                    lid_speed=lid_speed, start=start)
+        log.info("cavity Re=%g on %dx%d solved in %d iterations, final residual %.3e",
+                 re, nx, ny, run.iterations, run.residuals[-1])
+        os.makedirs(self.store_dir, exist_ok=True)
+        flow.write_snapshot_file(map(flow.Field2D.from_grid, (run.psi, run.omega)), path)
+        return run.psi, run.omega
+
+    def cavity(self, re, nx, ny, tol, max_iters, lid_speed):
+        """The (u_x, u_y) fields of one steady solve."""
+        psi, _ = self.state(re, nx, ny, tol, max_iters, lid_speed)
+        return flow.cavity_velocities(psi, lid_speed)
 
 
 def read_input(read, path):

@@ -1,17 +1,27 @@
 """The on-disk cavity field store behind FieldCache (``<out_dir>/fields``)."""
 
+import ast
+import importlib.util
+import inspect
+import json
 import logging
 import os
 import shutil
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import podreadout
 from podreadout import flow, pipeline
 from podreadout.cli import main
+from podreadout.errors import FieldError
 from podreadout.flow import Field2D, read_snapshot_file, write_snapshot_file
 from podreadout.pipeline import FieldCache, cavity_field_key
-from test_visualize_cli import write_problem_config
+
+from test_visualize_cli import write_config, write_problem_config
 
 SOLVE = (100.0, 16, 16, 1e-6, 400_000, 1.0)  # re, nx, ny, tol, max_iters, lid
 
@@ -58,7 +68,7 @@ def test_sweep_bytes_match_between_store_miss_and_hit(tmp_path, solves):
         assert (miss / name).read_bytes() == (hit / name).read_bytes()
 
 
-def test_key_changes_with_each_input(monkeypatch):
+def test_key_changes_with_each_input(monkeypatch, tmp_path):
     base = cavity_field_key(*SOLVE)
     assert cavity_field_key(100, 16, 16, 1e-6, 400_000, 1) == base
     variants = [
@@ -71,8 +81,74 @@ def test_key_changes_with_each_input(monkeypatch):
     ]
     keys = {cavity_field_key(*v) for v in variants}
     assert len(keys) == len(variants) and base not in keys
+
+    # the key follows the source of flow's solver path, and only that
+    source = Path(flow.__file__).read_text()
+    defs = {node.name: node for node in ast.parse(source).body
+            if isinstance(node, ast.FunctionDef)}
+    lines = source.splitlines(keepends=True)
+
+    def digest_of(edited):
+        """The solver digest of flow's source edited, loaded as a module."""
+        name = f"podreadout._edited_flow_{len(os.listdir(tmp_path))}"
+        path = tmp_path / f"{name}.py"
+        path.write_text(edited)
+        spec = importlib.util.spec_from_file_location(name, path)
+        module = importlib.util.module_from_spec(spec)
+        monkeypatch.setitem(sys.modules, name, module)
+        spec.loader.exec_module(module)
+        return pipeline._solver_digest(module)
+
+    def with_statement_added(name):
+        first = defs[name].body[0]
+        at = first.lineno - 1
+        return "".join(lines[:at] + [" " * first.col_offset + "pass\n"] + lines[at:])
+
+    base_digest = pipeline._solver_digest()
+    assert digest_of(source) == base_digest
+    assert digest_of("# moved\n\n" + source) == base_digest
+    for fn in flow.SOLVER_PATH:
+        assert digest_of(with_statement_added(fn.__name__)) != base_digest, fn.__name__
+    for name in ("transient_pair", "read_snapshot_file", "divergence_interior"):
+        assert digest_of(with_statement_added(name)) == base_digest, name
     monkeypatch.setattr(pipeline, "_solver_digest", lambda: "edited solver")
     assert cavity_field_key(*SOLVE) != base
+
+
+def _names(code):
+    """Global and attribute names a code object and the functions nested in it use."""
+    yield from code.co_names
+    for const in code.co_consts:
+        if inspect.iscode(const):
+            yield from _names(const)
+
+
+def test_solver_path_holds_every_flow_function_it_calls():
+    path = set(flow.SOLVER_PATH)
+    for fn in path:
+        called = {getattr(flow, n) for n in _names(fn.__code__)
+                  if inspect.isfunction(getattr(flow, n, None))}
+        assert called <= path, (fn.__name__, called - path)
+
+
+def test_store_holds_every_solve_state_ladder_points_included(tmp_path, solves):
+    cache = FieldCache(str(tmp_path))
+    ux, uy = cache.cavity(250.0, *SOLVE[1:])
+    assert solves == [100, 200, 250.0]
+    assert len(os.listdir(tmp_path)) == 3
+    run = flow.solve_cavity_run(250.0, *SOLVE[1:3], start=cache.state(200, *SOLVE[1:]))
+    key = cavity_field_key(250.0, *SOLVE[1:])
+    psi, omega = read_snapshot_file(tmp_path / f"{key}.pods")
+    assert psi.grid().tobytes() == run.psi.tobytes()
+    assert omega.grid().tobytes() == run.omega.tobytes()
+    assert ux.values.tobytes() == run.u_x.values.tobytes()
+    assert uy.values.tobytes() == run.u_y.values.tobytes()
+
+
+def test_out_of_range_reynolds_solves_nothing(tmp_path, solves):
+    with pytest.raises(FieldError, match="outside supported range"):
+        FieldCache(str(tmp_path)).cavity(5250.0, *SOLVE[1:])
+    assert solves == [] and not os.listdir(tmp_path)
 
 
 def _truncate(path, good):
@@ -88,8 +164,8 @@ def _non_finite(path, good):
 
 
 def _three_fields(path, good):
-    ux, uy = read_snapshot_file(path)
-    write_snapshot_file([ux, uy, ux], path)
+    psi, omega = read_snapshot_file(path)
+    write_snapshot_file([psi, omega, psi], path)
 
 
 def _other_grid(path, good):
@@ -107,15 +183,16 @@ def test_damaged_store_file_is_solved_again(tmp_path, solves, caplog, damage):
     store = tmp_path / "fields"
     solved = FieldCache(str(store)).cavity(*SOLVE)
     (path,) = store.iterdir()
-    damage(path, path.read_bytes())
+    good = path.read_bytes()
+    damage(path, good)
     caplog.set_level(logging.WARNING, logger="podreadout")
     again = FieldCache(str(store)).cavity(*SOLVE)
     assert len(solves) == 2
     assert str(path) in caplog.text and "solving again" in caplog.text
-    stored = read_snapshot_file(path)
-    for a, b, c in zip(solved, again, stored):
-        assert (b.nx, b.ny) == (c.nx, c.ny) == (16, 16)
-        assert a.values.tobytes() == b.values.tobytes() == c.values.tobytes()
+    assert path.read_bytes() == good
+    for a, b in zip(solved, again):
+        assert (b.nx, b.ny) == (16, 16)
+        assert a.values.tobytes() == b.values.tobytes()
 
 
 @pytest.mark.parametrize("problem", ["transient", "ingested"])
@@ -141,3 +218,52 @@ def test_solve_fills_the_store_for_offline_and_sweep(tmp_path, monkeypatch):
     monkeypatch.setattr(flow, "solve_cavity_run", no_solve)
     assert main(["--config", str(cfg_path), "offline"]) == 0
     assert main(["--config", str(cfg_path), "sweep"]) == 0
+
+
+COUNT_SCRIPT = """
+import json, sys
+from podreadout import flow
+from podreadout.cli import main
+steps, solves = [0], []
+step, solve = flow._newton_step, flow.solve_cavity_run
+
+def counted_step(*args):
+    steps[0] += 1
+    return step(*args)
+
+def recorded_solve(re, *args, **kwargs):
+    run = solve(re, *args, **kwargs)
+    solves.append([re, run.iterations])
+    return run
+
+flow._newton_step, flow.solve_cavity_run = counted_step, recorded_solve
+code = main(sys.argv[1:])
+print(json.dumps({"exit": code, "steps": steps[0], "solves": solves}))
+"""
+
+
+def newton_steps_in_new_process(cfg_path, command):
+    """Exit code, Newton steps and [Re, iterations] solves of one podr command
+    run in a new interpreter."""
+    src = os.path.dirname(os.path.dirname(podreadout.__file__))
+    env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS="1")
+    proc = subprocess.run(
+        [sys.executable, "-c", COUNT_SCRIPT, "--config", str(cfg_path), command],
+        env=env, capture_output=True, text=True, check=True, timeout=300,
+    )
+    return json.loads(proc.stdout.strip().splitlines()[-1])
+
+
+def test_sweep_after_offline_solves_only_the_target(tmp_path):
+    # the target Re=250 starts from Re=200, a ladder point but no training Re
+    cfg_path = write_config(tmp_path, problem="cavity", nx=16, ny=16,
+                            reynolds=[100, 300], target_reynolds=250)
+    offline = newton_steps_in_new_process(cfg_path, "offline")
+    assert offline["exit"] == 0
+    assert sorted(re for re, _ in offline["solves"]) == [100, 200, 300]
+    sweep = newton_steps_in_new_process(cfg_path, "sweep")
+    assert sweep["exit"] == 0
+    assert len(sweep["solves"]) == 1 and sweep["solves"][0][0] == 250
+    assert sweep["steps"] == sweep["solves"][0][1] > 0
+    again = newton_steps_in_new_process(cfg_path, "sweep")
+    assert again == {"exit": 0, "steps": 0, "solves": []}

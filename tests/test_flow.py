@@ -13,12 +13,14 @@ from podreadout.errors import ConvergenceError, FieldError, SnapshotFormatError
 from podreadout.flow import (
     Field2D,
     divergence_interior,
+    ladder_below,
     read_snapshot_csv,
     read_snapshot_file,
     solve_cavity_run,
     transient_pair,
     write_snapshot_file,
 )
+from podreadout.pipeline import FieldCache
 
 from test_visualize_cli import write_problem_config
 
@@ -26,20 +28,23 @@ TOL = 1e-6
 
 SOLVE_SCRIPT = """
 import hashlib, sys
-from podreadout.flow import solve_cavity_run
-for re in sys.argv[1:]:
-    run = solve_cavity_run(float(re), 32, 32)
-print(hashlib.sha256(run.u_x.values.tobytes() + run.u_y.values.tobytes()).hexdigest())
+from podreadout.pipeline import FieldCache
+cache = FieldCache(sys.argv[1])
+for re in sys.argv[2:]:
+    ux, uy = cache.cavity(float(re), 32, 32, 1e-6, 400_000, 1.0)
+psi, omega = cache.state(float(re), 32, 32, 1e-6, 400_000, 1.0)
+print(hashlib.sha256(b"".join(a.tobytes() for a in (ux.values, uy.values, psi, omega))).hexdigest())
 """
 
 
-def solve_in_new_process(reynolds, blas_threads=1):
-    """Digest of the 32x32 fields of the last of the given solves, run in a new
-    interpreter with the given number of OpenBLAS threads."""
+def solve_in_new_process(store, reynolds, blas_threads=1):
+    """Digest of the 32x32 velocities and state of the last of the given
+    solves, run through a FieldCache on store in a new interpreter with the
+    given number of OpenBLAS threads."""
     src = os.path.dirname(os.path.dirname(podreadout.__file__))
     env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS=str(blas_threads))
     proc = subprocess.run(
-        [sys.executable, "-c", SOLVE_SCRIPT, *map(str, reynolds)],
+        [sys.executable, "-c", SOLVE_SCRIPT, str(store), *map(str, reynolds)],
         env=env, capture_output=True, text=True, check=True, timeout=300,
     )
     return proc.stdout.strip()
@@ -97,9 +102,11 @@ class TestCavity:
         assert np.array_equal(a.u_x.values, b.u_x.values)
         assert np.array_equal(a.u_y.values, b.u_y.values)
 
-    def test_residual_tail_monotone(self):
-        # a Newton solve takes a handful of steps: its residual falls at each
-        run = solve_cavity_run(400.0, 32, 32, tol=1e-6)
+    def test_residual_tail_monotone(self, tmp_path):
+        # a Newton solve from its ladder start takes a handful of steps: its
+        # residual falls at each
+        start = FieldCache(str(tmp_path)).state(300.0, 32, 32, 1e-6, 400_000, 1.0)
+        run = solve_cavity_run(400.0, 32, 32, tol=1e-6, start=start)
         tail = run.residuals
         assert len(tail) >= 2 and np.all(tail[1:] < tail[:-1])
         assert run.residuals[-1] <= 1e-6
@@ -111,12 +118,21 @@ class TestCavity:
         assert err.value.iterations == 2
         assert err.value.residual > 1e-6
 
-    def test_result_does_not_depend_on_earlier_solves(self):
+    def test_result_does_not_depend_on_earlier_solves(self, tmp_path):
         # Re=250 starts from the ladder point Re=200 either way
-        assert solve_in_new_process([250]) == solve_in_new_process([100, 200, 300, 400, 250])
+        assert (solve_in_new_process(tmp_path / "one", [250])
+                == solve_in_new_process(tmp_path / "five", [100, 200, 300, 400, 250]))
 
-    def test_same_bytes_under_one_and_two_blas_threads(self):
-        assert solve_in_new_process([250], 1) == solve_in_new_process([250], 2)
+    def test_same_bytes_under_one_and_two_blas_threads(self, tmp_path):
+        assert (solve_in_new_process(tmp_path / "one", [250], 1)
+                == solve_in_new_process(tmp_path / "two", [250], 2))
+
+    def test_ladder_rule(self):
+        assert [ladder_below(re) for re in (1.0, 100.0, 100.5, 250.0, 300.0, 950.0)] == [
+            None, None, 100, 200, 200, 900]
+        for re in (0.5, 5000.5):
+            with pytest.raises(FieldError, match="outside supported range"):
+                ladder_below(re)
 
     @pytest.fixture
     def singular(self, monkeypatch):
