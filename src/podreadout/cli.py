@@ -94,10 +94,11 @@ def _cmd_readout(args):
     shots = _check_shots(args.shots) if args.shots is not None else cfg.shot_grid[0]
     cache = pipeline.FieldCache.for_config(cfg)
     offline = pipeline.run_offline(cfg, cache)
-    targets = pipeline.unit_targets(pipeline.target_fields(cfg, cache))
+    targets = pipeline.prepared_targets(pipeline.target_fields(cfg, cache))
     for comp in pipeline.COMPONENTS:
         for method in cfg.methods:
-            rep = pipeline.run_cell(cfg, offline, targets, comp, method, shots, cfg.seeds[0])
+            rep = pipeline.run_cell(cfg, offline, targets[comp], comp, method, shots,
+                                    cfg.seeds[0])
             label = visualize.METHOD_LABELS.get(method, method)
             print(f"{label:16s} {comp}: epsilon={rep.epsilon:.4e} "
                   f"(shots={rep.n_shot_total})")
@@ -145,10 +146,11 @@ def _cmd_visualize(args):
     if shots != requested:
         log.info("shared budget adjusted from %d to %d", requested, shots)
     truth = pipeline.target_fields(cfg, cache)
-    targets = pipeline.unit_targets(truth)
+    targets = pipeline.prepared_targets(truth)
     reports = {
         method: {
-            comp: pipeline.run_cell(cfg, offline, targets, comp, method, shots, cfg.seeds[0])
+            comp: pipeline.run_cell(cfg, offline, targets[comp], comp, method, shots,
+                                    cfg.seeds[0])
             for comp in pipeline.COMPONENTS
         }
         for method in cfg.methods

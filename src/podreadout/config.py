@@ -9,10 +9,12 @@ from __future__ import annotations
 
 import hashlib
 import json
+import numbers
 from dataclasses import asdict, dataclass
 from pathlib import Path
 
-from .errors import ConfigError
+from .errors import ConfigError, FieldError
+from .flow import _check_reynolds
 
 CASE_THRESHOLDS = {
     # (projection estimator threshold, encoding estimator threshold)
@@ -75,6 +77,17 @@ def _is_pow2(k: int) -> bool:
     return isinstance(k, int) and k >= 1 and (k & (k - 1)) == 0
 
 
+def _check_reynolds_values(key: str, values) -> None:
+    """Each of a cavity key's Reynolds numbers lies in the solver's range."""
+    for re in values:
+        if isinstance(re, bool) or not isinstance(re, numbers.Real):
+            raise ConfigError(f"{key}: reynolds {re!r} is not a number")
+        try:
+            _check_reynolds(re)
+        except FieldError as exc:
+            raise ConfigError(f"{key}: {exc}") from exc
+
+
 def validate_config(cfg: ExperimentConfig) -> ExperimentConfig:
     if cfg.problem not in ("cavity", "transient", "ingested"):
         raise ConfigError(f"unknown problem {cfg.problem!r}")
@@ -110,6 +123,9 @@ def validate_config(cfg: ExperimentConfig) -> ExperimentConfig:
             raise ConfigError(
                 f"target Re {cfg.target_reynolds} must stay out of the ensemble"
             )
+        _check_reynolds_values("reynolds", cfg.reynolds)
+        _check_reynolds_values("target_reynolds", (cfg.target_reynolds,))
+        _check_reynolds_values("param_sweep", cfg.param_sweep or ())
     elif cfg.problem == "transient":
         if cfg.window is None or len(cfg.window) != 2 or cfg.window[0] > cfg.window[1]:
             raise ConfigError("transient runs need window = [first_step, last_step]")

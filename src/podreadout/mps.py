@@ -12,11 +12,12 @@ clears the requested threshold.
 
 The search does that ascent incrementally.  Each compression's overlap row
 <approx_i, u_j> is computed once, and a trial doubling is scored by swapping
-its row into the current n_b x n_b overlap matrix; the estimator itself runs
-once per accepted doubling.  Each sweep remembers the first cut its cap
-truncated, together with that cut's factorization, so the doubled
-compression resumes there without factoring it again: every earlier cut is
-the same under chi and 2 chi.
+its row into the current n_b x n_b overlap matrix.  The estimator builds its
+matrix from the same one-row products, so the accepted trial's score is the
+estimate itself and the estimator runs once per search, for the starting
+plan.  Each sweep remembers the first cut its cap truncated, together with
+that cut's factorization, so the doubled compression resumes there without
+factoring it again: every earlier cut is the same under chi and 2 chi.
 
 A wide cut (more columns than rows, as in the first half of the sweep) is
 factored as the SVD of its transpose.  numpy hands a wide C-order matrix to
@@ -223,15 +224,22 @@ def enc_error_estimator(basis: PodBasisSet, approximants) -> float:
     n_b = len(approximants)
     if n_b == 0 or n_b > basis.m:
         raise FieldError(f"{n_b} approximants for a basis set of size {basis.m}")
-    dense = np.stack([contract(a) for a in approximants])
-    if dense.shape[1] != basis.n:
-        raise FieldError(
-            f"approximant length {dense.shape[1]} does not match basis length {basis.n}"
-        )
-    s = basis.sigma[:n_b] ** 2 / basis.m
-    overlaps = dense @ basis.u[:, :n_b]  # overlaps[i, j] = <approx_i, u_j>
-    defect = s - overlaps @ s
-    return float(np.sqrt(np.sum(defect**2)))
+    u = basis.u[:, :n_b]
+    rows = []
+    for a in approximants:
+        dense = contract(a)
+        if dense.size != basis.n:
+            raise FieldError(
+                f"approximant length {dense.size} does not match basis length {basis.n}"
+            )
+        rows.append(dense @ u)
+    # one row per approximant, the product search_bond_plan scores trials with
+    return _estimate(np.stack(rows), basis.sigma[:n_b] ** 2 / basis.m)
+
+
+def _estimate(overlaps, s) -> float:
+    """The estimator from its overlap matrix, overlaps[i, j] = <approx_i, u_j>."""
+    return float(np.sqrt(np.sum((s - overlaps @ s) ** 2)))
 
 
 def search_bond_plan(basis: PodBasisSet, threshold: float, chi_cap: int):
@@ -243,10 +251,11 @@ def search_bond_plan(basis: PodBasisSet, threshold: float, chi_cap: int):
     the threshold.  Raises BondSearchError with the best estimate reached
     if every basis is already at chi_cap.
 
-    Trials are ranked by swapping the trial's overlap row into the current
-    overlap matrix; the estimate that is tested and reported comes from
-    enc_error_estimator on the accepted approximants.  A doubling resumes
-    the sweep of the current approximant, which then drops its resume state.
+    Trials are scored by swapping the trial's overlap row into the current
+    overlap matrix, the matrix enc_error_estimator builds row by row, so the
+    accepted trial's score is the new estimate: the estimator runs once, for
+    the starting plan.  A doubling resumes the sweep of the current
+    approximant, which then drops its resume state.
     """
     if threshold <= 0:
         raise FieldError("threshold must be positive")
@@ -277,7 +286,7 @@ def search_bond_plan(basis: PodBasisSet, threshold: float, chi_cap: int):
                 trials[i] = (trial, contract(trial) @ u)
             candidate = rows.copy()
             candidate[i] = trials[i][1]
-            e = float(np.sqrt(np.sum((s - candidate @ s) ** 2)))
+            e = _estimate(candidate, s)
             if best is None or e < best[0]:
                 best = (e, i)
         if best is None:
@@ -287,11 +296,10 @@ def search_bond_plan(basis: PodBasisSet, threshold: float, chi_cap: int):
                 best_estimator=est,
                 plan=tuple(chis),
             )
-        i = best[1]
+        est, i = best
         chis[i] *= 2
         approx[i], rows[i] = trials[i]
         trials[i] = None
-        est = enc_error_estimator(basis, approx)
     for a in approx:
         a.resume = None
     return BondPlan(chis=tuple(chis), estimated_error=est), approx

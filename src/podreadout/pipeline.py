@@ -428,11 +428,17 @@ def harmonized_shots(requested: int, n_bs) -> int:
     return max((requested // l) * l, l)
 
 
-def run_cell(cfg, offline, targets, comp, method, n_shot, seed):
+def prepared_targets(truth) -> dict:
+    """{"ux": ..., "uy": ...} readout.Target of a (u_x, u_y) target pair."""
+    return {comp: readout.Target(x) for comp, x in unit_targets(truth).items()}
+
+
+def run_cell(cfg, offline, target, comp, method, n_shot, seed):
+    """One readout of component comp's target, a readout.Target (or its unit
+    vector, prepared afresh)."""
     comp_idx = COMPONENTS.index(comp)
     method_idx = ("PODR", "RSR", "FSR").index(method)
     cell = _cell_seed(seed, comp_idx, method_idx, n_shot)
-    x = targets[comp]
     art = offline.components[comp]
     if method == "PODR":
         shots = podr_shots(n_shot, art.basis.n_b)
@@ -442,11 +448,11 @@ def run_cell(cfg, offline, targets, comp, method, n_shot, seed):
                 n_shot, shots, art.basis.n_b, comp,
             )
         return readout.podr_readout(
-            x, art.basis, art.approximants, shots, cell, beta=cfg.beta
+            target, art.basis, art.approximants, shots, cell, beta=cfg.beta
         )
     if method == "RSR":
-        return readout.rsr_readout(x, n_shot, cell, sign_oracle=cfg.sign_oracle)
-    return readout.fsr_readout(x, n_shot, cfg.fsr_cutoff, cell)
+        return readout.rsr_readout(target, n_shot, cell, sign_oracle=cfg.sign_oracle)
+    return readout.fsr_readout(target, n_shot, cfg.fsr_cutoff, cell)
 
 
 def run_shot_sweep(cfg: ExperimentConfig, offline: OfflineResult,
@@ -454,41 +460,44 @@ def run_shot_sweep(cfg: ExperimentConfig, offline: OfflineResult,
     """Full factorial (method x shot budget x seed x component) readout sweep.
 
     Writes sweep.csv (one row per cell) and sweep_medians.csv (per-method
-    median curves) into cfg.out_dir; returns the raw rows as dicts.
+    median curves) into cfg.out_dir; returns the raw rows as dicts.  Each
+    component's target is prepared once, for all of its cells, and dropped
+    before the next component's.
     """
     cache = cache or FieldCache.for_config(cfg)
     targets = unit_targets(target_fields(cfg, cache))
     h = config_hash(cfg)
 
     lines, rows, eps = [], [], {}
-    for comp, method, n_shot, seed in itertools.product(
-        COMPONENTS, cfg.methods, cfg.shot_grid, cfg.seeds
-    ):
-        # a report holds 2^n-entry arrays: keep only the scalars of its row,
-        # and free it before the next cell allocates its own
-        rep = run_cell(cfg, offline, targets, comp, method, n_shot, seed)
-        if rep.budget is not None:
-            e_proj, e_enc, e_sam = (
-                fmt(rep.budget.e_proj), fmt(rep.budget.e_enc), fmt(rep.budget.e_sam_bound),
+    for comp in COMPONENTS:
+        target = readout.Target(targets.pop(comp))
+        for method, n_shot, seed in itertools.product(cfg.methods, cfg.shot_grid, cfg.seeds):
+            # a report holds 2^n-entry arrays: keep only the scalars of its
+            # row, and free it before the next cell allocates its own
+            rep = run_cell(cfg, offline, target, comp, method, n_shot, seed)
+            if rep.budget is not None:
+                e_proj, e_enc, e_sam = (
+                    fmt(rep.budget.e_proj), fmt(rep.budget.e_enc),
+                    fmt(rep.budget.e_sam_bound),
+                )
+            else:
+                e_proj = e_enc = e_sam = ""
+            kept = str(rep.kept_modes) if rep.kept_modes is not None else ""
+            n_b = str(rep.n_b) if rep.n_b is not None else "0"
+            lines.append(
+                f"{h},{method},{comp},{cfg.grid_points},{rep.n_shot_total},{n_b},"
+                f"{seed},{fmt(rep.epsilon)},{e_proj},{e_enc},{e_sam},{kept},0"
             )
-        else:
-            e_proj = e_enc = e_sam = ""
-        kept = str(rep.kept_modes) if rep.kept_modes is not None else ""
-        n_b = str(rep.n_b) if rep.n_b is not None else "0"
-        lines.append(
-            f"{h},{method},{comp},{cfg.grid_points},{rep.n_shot_total},{n_b},"
-            f"{seed},{fmt(rep.epsilon)},{e_proj},{e_enc},{e_sam},{kept},0"
-        )
-        rows.append({
-            "method": method,
-            "component": comp,
-            "n_shot_requested": n_shot,
-            "n_shot_total": rep.n_shot_total,
-            "seed": seed,
-            "epsilon": rep.epsilon,
-        })
-        eps.setdefault((comp, method, n_shot), []).append(rep.epsilon)
-        del rep
+            rows.append({
+                "method": method,
+                "component": comp,
+                "n_shot_requested": n_shot,
+                "n_shot_total": rep.n_shot_total,
+                "seed": seed,
+                "epsilon": rep.epsilon,
+            })
+            eps.setdefault((comp, method, n_shot), []).append(rep.epsilon)
+            del rep
     os.makedirs(cfg.out_dir, exist_ok=True)
     write_csv(os.path.join(cfg.out_dir, "sweep.csv"), SWEEP_HEADER, lines)
     write_csv(

@@ -14,12 +14,21 @@ Every sampler is deterministic given its integer seed; the per-basis
 streams inside PODR split off the seed by basis index.  An analytic mode
 replaces sampled quantities with their expectations so the shot-noise term
 can be isolated in tests.
+
+Each protocol takes x as a Target, or as a plain vector that it wraps in a
+fresh one.  A Target checks x's norm once and computes what does not depend
+on the shots or the seed on first use, then keeps it: PODR's overlaps and
+exact E_proj and E_enc, RSR's probabilities, FSR's spectrum probabilities
+and phases.  A sweep prepares each target once and hands it to every cell,
+which then only samples and rebuilds; the expressions are the ones a fresh
+Target evaluates, so the results are the same bits.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -59,6 +68,53 @@ def _check_unit(x, name: str) -> np.ndarray:
     return x
 
 
+class Target:
+    """A unit state x and the shot-independent quantities of its readouts.
+
+    Each quantity is computed the first time a readout asks for it.  PODR's
+    terms are kept for one (basis, approximants) pair, matched by identity.
+    """
+
+    def __init__(self, x):
+        self.x = _check_unit(x, "x")
+        self._podr = None  # (basis, approximants, overlaps, e_proj, e_enc)
+
+    def podr_terms(self, basis: PodBasisSet, approximants):
+        """(overlaps <approx_i, x>, exact E_proj, exact E_enc) for n_b = basis.n_b."""
+        kept = self._podr
+        if kept is None or kept[0] is not basis or kept[1] is not approximants:
+            x, n_b = self.x, basis.n_b
+            dense = np.stack([contract(a) for a in approximants])
+            if dense.shape[1] != x.size:
+                raise FieldError("approximants do not match the state length")
+            overlaps = dense @ x
+            e_proj = exact_projection_error(x, basis, n_b)
+            e_enc = float(np.linalg.norm(basis.u[:, :n_b].T @ x - overlaps))
+            self._podr = kept = (basis, approximants, overlaps, e_proj, e_enc)
+        return kept[2:]
+
+    @cached_property
+    def probabilities(self) -> np.ndarray:
+        """|x_j|^2, renormalised: RSR's Z-basis distribution."""
+        p = self.x * self.x
+        return p / p.sum()
+
+    @cached_property
+    def spectrum(self):
+        """(probabilities, phases) of the unitary DFT of x, FSR's distribution."""
+        spectrum = np.fft.fft(self.x) / math.sqrt(self.x.size)
+        q = np.abs(spectrum) ** 2
+        q = q / q.sum()
+        mags = np.abs(spectrum)
+        phases = np.where(mags > 0.0, spectrum / np.where(mags > 0.0, mags, 1.0), 1.0 + 0.0j)
+        return q, phases
+
+
+def _as_target(x) -> Target:
+    """x itself when it is a Target, else a fresh Target of x."""
+    return x if isinstance(x, Target) else Target(x)
+
+
 def coefficient_from_counts(z0: int, n_shot_basis: int) -> float:
     """Estimated coefficient 2 * z0 / n - 1 from ancilla zero counts."""
     return 2.0 * z0 / n_shot_basis - 1.0
@@ -76,7 +132,7 @@ def sample_coefficient(p0: float, n_shot_basis: int, rng_seed) -> float:
 
 
 def podr_readout(
-    x,
+    target,
     basis: PodBasisSet,
     approximants,
     n_shot_total: int,
@@ -86,11 +142,13 @@ def podr_readout(
 ) -> ReadoutReport:
     """Estimate the first n_b coefficients and rebuild with the exact bases.
 
-    The shot budget must divide evenly across the bases.  The report's
-    budget carries the exact projection and encoding errors of this x plus
-    the Chebyshev-style sampling bound beta * sqrt(n_b / shots_per_basis).
+    target is a Target or a unit vector x.  The shot budget must divide
+    evenly across the bases.  The report's budget carries the exact
+    projection and encoding errors of this x plus the Chebyshev-style
+    sampling bound beta * sqrt(n_b / shots_per_basis).
     """
-    x = _check_unit(x, "x")
+    target = _as_target(target)
+    x = target.x
     n_b = basis.n_b
     if len(approximants) != n_b:
         raise FieldError(f"{len(approximants)} approximants for n_b={n_b}")
@@ -100,10 +158,7 @@ def podr_readout(
         )
     n_shot_basis = n_shot_total // n_b
 
-    dense = np.stack([contract(a) for a in approximants])
-    if dense.shape[1] != x.size:
-        raise FieldError("approximants do not match the state length")
-    overlaps = dense @ x
+    overlaps, e_proj, e_enc = target.podr_terms(basis, approximants)
     if analytic:
         coeffs = overlaps.copy()
     else:
@@ -112,12 +167,8 @@ def podr_readout(
             [sample_coefficient(p0s[i], n_shot_basis, [seed, i]) for i in range(n_b)]
         )
 
-    un = basis.u[:, :n_b]
-    recon = un @ coeffs
+    recon = basis.u[:, :n_b] @ coeffs
     epsilon = float(np.linalg.norm(x - recon))
-
-    e_proj = exact_projection_error(x, basis, n_b)
-    e_enc = float(np.linalg.norm(un.T @ x - overlaps))
     budget = ErrorBudget(
         e_proj=e_proj,
         e_enc=e_enc,
@@ -138,7 +189,7 @@ def podr_readout(
 
 
 def rsr_readout(
-    x,
+    target,
     n_shot_total: int,
     seed: int,
     sign_oracle: bool = True,
@@ -146,12 +197,12 @@ def rsr_readout(
 ) -> ReadoutReport:
     """Sample grid indices from |x_j|^2 and estimate magnitudes from counts.
 
-    Z-basis sampling cannot see signs, so by default they come from the
-    true state, which makes this baseline optimistic.
+    target is a Target or a unit vector x.  Z-basis sampling cannot see
+    signs, so by default they come from the true state, which makes this
+    baseline optimistic.
     """
-    x = _check_unit(x, "x")
-    p = x * x
-    p = p / p.sum()
+    target = _as_target(target)
+    x, p = target.x, target.probabilities
     if analytic:
         freq = p
     else:
@@ -174,7 +225,7 @@ def rsr_readout(
 
 
 def fsr_readout(
-    x,
+    target,
     n_shot_total: int,
     cutoff: float,
     seed: int,
@@ -184,16 +235,16 @@ def fsr_readout(
 
     Samples the unitary-DFT spectrum of x, keeps modes whose estimated
     probability exceeds the cutoff, assigns them sqrt(probability) with
-    exact phases, and inverse-transforms.  Reported as "FSR (idealized)"
-    in human-readable output; the method tag stays FSR.
+    exact phases, and inverse-transforms.  target is a Target or a unit
+    vector x.  Reported as "FSR (idealized)" in human-readable output; the
+    method tag stays FSR.
     """
-    x = _check_unit(x, "x")
+    target = _as_target(target)
+    x = target.x
     if not (0.0 < cutoff < 1.0):
         raise FieldError(f"cutoff {cutoff} outside (0, 1)")
     n_pts = x.size
-    spectrum = np.fft.fft(x) / math.sqrt(n_pts)
-    q = np.abs(spectrum) ** 2
-    q = q / q.sum()
+    q, phases = target.spectrum
     if analytic:
         q_hat = q
     else:
@@ -202,8 +253,6 @@ def fsr_readout(
         rng = np.random.default_rng([seed])
         q_hat = rng.multinomial(n_shot_total, q) / n_shot_total
     keep = q_hat > cutoff
-    mags = np.abs(spectrum)
-    phases = np.where(mags > 0.0, spectrum / np.where(mags > 0.0, mags, 1.0), 1.0 + 0.0j)
     kept_spectrum = np.zeros(n_pts, dtype=np.complex128)
     kept_spectrum[keep] = np.sqrt(q_hat[keep]) * phases[keep]
     recon = np.real(np.fft.ifft(kept_spectrum) * math.sqrt(n_pts))

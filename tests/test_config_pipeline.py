@@ -1,11 +1,12 @@
 import dataclasses
 import json
 import os
+import sys
 
 import numpy as np
 import pytest
 
-from podreadout import mps, pod
+from podreadout import mps, pipeline, pod, readout
 from podreadout.config import (
     CASE_THRESHOLDS,
     ExperimentConfig,
@@ -70,6 +71,20 @@ class TestConfig:
                 dict(problem="transient", nx=32, ny=16, window=[0, 20],
                      target_step=10)
             )
+
+    @pytest.mark.parametrize("key,value,named", [
+        ("reynolds", [100, 6000], "6000"),
+        ("reynolds", [0.5, 200], "0.5"),
+        ("target_reynolds", 5001, "5001"),
+        ("param_sweep", [100, 7000], "7000"),
+        ("reynolds", [100, "200"], "'200'"),
+    ])
+    def test_reynolds_outside_the_solver_range_rejected(self, key, value, named):
+        doc = dict(problem="cavity", nx=16, ny=16, reynolds=[100, 200],
+                   target_reynolds=150)
+        doc[key] = value
+        with pytest.raises(ConfigError, match=f"{key}: reynolds {named}"):
+            config_from_dict(doc)
 
     def test_grid_must_be_pow2(self):
         with pytest.raises(ConfigError, match="powers of two"):
@@ -234,6 +249,42 @@ class TestSweep:
         run_shot_sweep(cfg, offline, cache)
         assert open(sweep_path, "rb").read() == first
         assert open(med_path, "rb").read() == first_med
+
+    def test_each_target_prepared_once_with_the_bytes_of_fresh_ones(
+        self, tmp_path, monkeypatch
+    ):
+        def sweep_bytes(out):
+            cfg = transient_config(out)
+            cache = FieldCache.for_config(cfg)
+            run_shot_sweep(cfg, run_offline(cfg, cache), cache)
+            return open(os.path.join(cfg.out_dir, "sweep.csv"), "rb").read()
+
+        offline = run_offline(transient_config(tmp_path / "once"))
+        n_bs = [art.basis.n_b for art in offline.components.values()]
+        calls = {"fft": 0, "contract": 0, "stack": 0}
+        fft, contract, stack = np.fft.fft, readout.contract, np.stack
+
+        def counted(name, fn, only_from=None):
+            def spy(*args, **kwargs):
+                if only_from is None or sys._getframe(1).f_globals["__name__"] == only_from:
+                    calls[name] += 1
+                return fn(*args, **kwargs)
+            return spy
+
+        with monkeypatch.context() as m:
+            m.setattr(np.fft, "fft", counted("fft", fft))
+            m.setattr(readout, "contract", counted("contract", contract))
+            m.setattr(np, "stack", counted("stack", stack, readout.__name__))
+            once = sweep_bytes(tmp_path / "once")
+        assert calls == {"fft": 2, "contract": sum(n_bs), "stack": 2}
+
+        run_cell = pipeline.run_cell
+
+        def fresh_target(cfg, offline, target, *args):
+            return run_cell(cfg, offline, readout.Target(target.x), *args)
+
+        monkeypatch.setattr(pipeline, "run_cell", fresh_target)
+        assert sweep_bytes(tmp_path / "fresh") == once
 
     def test_rows_hold_scalars_only(self, tmp_path):
         # a readout report holds N-entry arrays; the sweep must not keep them

@@ -151,6 +151,16 @@ def test_out_of_range_reynolds_solves_nothing(tmp_path, solves):
     assert solves == [] and not os.listdir(tmp_path)
 
 
+def test_out_of_range_reynolds_in_config_exits_2_before_any_solve(tmp_path, solves, capsys):
+    cfg_path = write_config(tmp_path, problem="cavity", nx=16, ny=16,
+                            reynolds=[100, 6000], target_reynolds=250)
+    assert main(["--config", str(cfg_path), "offline"]) == 2
+    assert "reynolds 6000 outside supported range" in capsys.readouterr().err
+    assert solves == []
+    fields = tmp_path / "out" / "fields"
+    assert not fields.exists() or not os.listdir(fields)
+
+
 def _truncate(path, good):
     path.write_bytes(good[:-8])
 

@@ -397,6 +397,23 @@ class TestBondSearch:
         assert order == compression_order(reference_search, basis, 1e-300, 16)
         assert order[-4:] == [(0, 16), (1, 16), (2, 16), (3, 16)]
 
+    @pytest.mark.parametrize("kind,drop", [("random", 0.9), ("smooth", 1e-3),
+                                           ("low-rank", 1e-3)])
+    def test_estimator_runs_once_and_the_estimate_is_its_value(self, kind, drop):
+        basis = mixed_basis(10, 5, kind, 3, 4)
+        start = enc_error_estimator(basis, [tt_svd(basis.u[:, i], 1) for i in range(4)])
+        calls = []
+
+        def spy(*args):
+            calls.append(args)
+            return enc_error_estimator(*args)
+
+        with mock.patch.object(mps, "enc_error_estimator", spy):
+            plan, apx = search_bond_plan(basis, start * drop, 16)
+        assert sum(int(np.log2(c)) for c in plan.chis) > 1  # several doublings
+        assert len(calls) == 1
+        assert plan.estimated_error.hex() == enc_error_estimator(basis, apx).hex()
+
     def test_huge_threshold_keeps_all_chis_one(self):
         basis = random_basis(64, 4, seed=11, n_b=3)
         plan, apx = search_bond_plan(basis, threshold=10.0, chi_cap=8)

@@ -90,7 +90,7 @@ class TestPanels:
         targets = unit_targets(truth)
         shots = harmonized_shots(1000, n_bs(offline))
         reports = {
-            m: {c: run_cell(cfg, offline, targets, c, m, shots, 0)
+            m: {c: run_cell(cfg, offline, targets[c], c, m, shots, 0)
                 for c in ("ux", "uy")}
             for m in cfg.methods
         }
@@ -115,7 +115,7 @@ class TestPanels:
         truth = target_fields(cfg, cache)
         targets = unit_targets(truth)
         shots = harmonized_shots(10**6, n_bs(offline))
-        rep = run_cell(cfg, offline, targets, "ux", "PODR", shots, 0)
+        rep = run_cell(cfg, offline, targets["ux"], "ux", "PODR", shots, 0)
         psi_hat = stream_function(Field2D(cfg.nx, cfg.ny, rep.reconstruction)).grid()
         psi_true = stream_function(Field2D(cfg.nx, cfg.ny, targets["ux"])).grid()
         bound = 2.0 * rep.epsilon * np.abs(targets["ux"]).max() * 1.0
