@@ -64,9 +64,9 @@ def _check_shots(shots):
 
 def _cmd_solve(args):
     cfg = _load(args)
-    cache = pipeline.FieldCache.for_config(cfg)
-    ux, uy, labels = pipeline.ensemble_fields(cfg, cache)
-    tx, ty = pipeline.target_fields(cfg, cache)
+    prob = pipeline.problem_of(cfg)
+    ux, uy, labels = prob.ensemble()
+    tx, ty = prob.pair(prob.target)
     os.makedirs(cfg.out_dir, exist_ok=True)
     for name, fields in (
         ("ensemble_ux", ux), ("ensemble_uy", uy), ("target_ux", [tx]), ("target_uy", [ty]),
@@ -92,9 +92,8 @@ def _cmd_offline(args):
 def _cmd_readout(args):
     cfg = _load(args)
     shots = _check_shots(args.shots) if args.shots is not None else cfg.shot_grid[0]
-    cache = pipeline.FieldCache.for_config(cfg)
-    offline = pipeline.run_offline(cfg, cache)
-    targets = pipeline.prepared_targets(pipeline.target_fields(cfg, cache))
+    offline = pipeline.run_offline(cfg)
+    targets = pipeline.problem_of(cfg).targets()
     for comp in pipeline.COMPONENTS:
         for method in cfg.methods:
             rep = pipeline.run_cell(cfg, offline, targets[comp], comp, method, shots,
@@ -107,9 +106,8 @@ def _cmd_readout(args):
 
 def _cmd_sweep(args):
     cfg = _load(args)
-    cache = pipeline.FieldCache.for_config(cfg)
-    offline = pipeline.run_offline(cfg, cache)
-    rows = pipeline.run_shot_sweep(cfg, offline, cache)
+    offline = pipeline.run_offline(cfg)
+    rows = pipeline.run_shot_sweep(cfg, offline)
     print(f"{len(rows)} sweep cells -> {os.path.join(cfg.out_dir, 'sweep.csv')}")
     return 0
 
@@ -138,15 +136,13 @@ def _cmd_depth_study(args):
 def _cmd_visualize(args):
     cfg = _load(args)
     requested = _check_shots(args.shots)
-    cache = pipeline.FieldCache.for_config(cfg)
-    offline = pipeline.run_offline(cfg, cache)
+    offline = pipeline.run_offline(cfg)
     shots = pipeline.harmonized_shots(
         requested, [art.basis.n_b for art in offline.components.values()]
     )
     if shots != requested:
         log.info("shared budget adjusted from %d to %d", requested, shots)
-    truth = pipeline.target_fields(cfg, cache)
-    targets = pipeline.prepared_targets(truth)
+    targets = pipeline.problem_of(cfg).targets()
     reports = {
         method: {
             comp: pipeline.run_cell(cfg, offline, targets[comp], comp, method, shots,
@@ -155,7 +151,7 @@ def _cmd_visualize(args):
         }
         for method in cfg.methods
     }
-    written = visualize.emit_visual_comparison(cfg, reports, truth)
+    written = visualize.emit_visual_comparison(cfg, reports, targets)
     print(f"wrote {len(written)} panel files under {cfg.out_dir}")
     return 0
 

@@ -73,14 +73,72 @@ _FIELD_NAMES = {f for f in ExperimentConfig.__dataclass_fields__}
 _HASH_EXCLUDED = {"out_dir"}
 
 
-def _is_pow2(k: int) -> bool:
-    return isinstance(k, int) and k >= 1 and (k & (k - 1)) == 0
+def _is_int(v, low=0) -> bool:
+    """v is an integer of at least low, and not a bool."""
+    return isinstance(v, int) and not isinstance(v, bool) and v >= low
+
+
+def _is_number(v) -> bool:
+    return isinstance(v, numbers.Real) and not isinstance(v, bool)
+
+
+def _is_pow2(k) -> bool:
+    return _is_int(k, 1) and (k & (k - 1)) == 0
+
+
+def _ints(values, low=0) -> bool:
+    """values is a nonempty list of integers of at least low."""
+    return bool(values) and all(_is_int(v, low) for v in values)
+
+
+_PATH = (lambda v: isinstance(v, str) and v != "", "a path")
+# key -> (accepts its value, what the value must be): keys every problem
+# reads, then those only a transient or an ingested problem reads
+_CHECKS = {
+    "case": (lambda v: isinstance(v, str) and v in CASE_THRESHOLDS,
+             f"one of {list(CASE_THRESHOLDS)}"),
+    "methods": (lambda v: bool(v) and all(m in METHODS for m in v),
+                f"a nonempty subset of {list(METHODS)}"),
+    "shot_grid": (lambda v: _ints(v, 1), "a nonempty list of positive integers"),
+    "seeds": (_ints, "a nonempty list of nonnegative integers"),
+    "out_dir": _PATH,
+    "beta": (lambda v: _is_number(v) and v >= 2.0, "a number of at least 2"),
+    "chi_cap": (_is_pow2, "a power of two"),
+    "solver_tol": (lambda v: _is_number(v) and v > 0, "a positive number"),
+    "max_iters": (_is_int, "a nonnegative integer"),
+    "lid_speed": (lambda v: _is_number(v) and v != 0, "a nonzero number"),
+    "fsr_cutoff": (lambda v: _is_number(v) and 0.0 < v < 1.0, "a number in (0, 1)"),
+    "sign_oracle": (lambda v: isinstance(v, bool), "true or false"),
+}
+_TRANSIENT_CHECKS = {
+    "window": (lambda w: _ints(w) and len(w) == 2 and w[0] <= w[1],
+               "[first_step, last_step], nonnegative integers in order"),
+    "period": (lambda v: _is_int(v, 2), "an integer of at least 2"),
+    "transient_seed": (_is_int, "a nonnegative integer"),
+    "target_step": (_is_int, "a nonnegative integer"),
+    "param_sweep": (lambda v: v is None or all(map(_is_int, v)),
+                    "a list of nonnegative integers"),
+}
+_INGESTED_CHECKS = {
+    "snapshot_ux": _PATH,
+    "snapshot_uy": _PATH,
+    "target_index": (_is_int, "a nonnegative integer"),
+}
+
+
+def _check(cfg: ExperimentConfig, checks: dict) -> None:
+    """A ConfigError naming the first key whose value checks refuses, and the value."""
+    for key, (accepts, what) in checks.items():
+        value = getattr(cfg, key)
+        if not accepts(value):
+            shown = list(value) if isinstance(value, tuple) else value
+            raise ConfigError(f"{key} must be {what}, got {shown!r}")
 
 
 def _check_reynolds_values(key: str, values) -> None:
     """Each of a cavity key's Reynolds numbers lies in the solver's range."""
     for re in values:
-        if isinstance(re, bool) or not isinstance(re, numbers.Real):
+        if not _is_number(re):
             raise ConfigError(f"{key}: reynolds {re!r} is not a number")
         try:
             _check_reynolds(re)
@@ -89,30 +147,13 @@ def _check_reynolds_values(key: str, values) -> None:
 
 
 def validate_config(cfg: ExperimentConfig) -> ExperimentConfig:
+    """cfg, unless a value has the wrong type or range (never converted, so a
+    valid config keeps its hash)."""
     if cfg.problem not in ("cavity", "transient", "ingested"):
         raise ConfigError(f"unknown problem {cfg.problem!r}")
     if not (_is_pow2(cfg.nx) and _is_pow2(cfg.ny)) or cfg.nx < 16 or cfg.ny < 16:
         raise ConfigError(f"grid {cfg.nx}x{cfg.ny} must be powers of two, at least 16")
-    if cfg.case not in CASE_THRESHOLDS:
-        raise ConfigError(f"unknown case {cfg.case!r}")
-    if not cfg.methods or any(m not in METHODS for m in cfg.methods):
-        raise ConfigError(f"methods must be a nonempty subset of {METHODS}")
-    if not cfg.shot_grid or any(
-        isinstance(s, bool) or not isinstance(s, int) or s < 1 for s in cfg.shot_grid
-    ):
-        raise ConfigError("shot_grid must be a nonempty list of positive integers")
-    if not cfg.seeds or any(
-        isinstance(s, bool) or not isinstance(s, int) or s < 0 for s in cfg.seeds
-    ):
-        raise ConfigError("seeds must be a nonempty list of nonnegative integers")
-    if cfg.beta < 2.0:
-        raise ConfigError("beta must be at least 2")
-    if not _is_pow2(cfg.chi_cap):
-        raise ConfigError(f"chi_cap {cfg.chi_cap} is not a power of two")
-    if cfg.solver_tol <= 0:
-        raise ConfigError("solver_tol must be positive")
-    if not (0.0 < cfg.fsr_cutoff < 1.0):
-        raise ConfigError("fsr_cutoff must lie in (0, 1)")
+    _check(cfg, _CHECKS)
 
     if cfg.problem == "cavity":
         if not cfg.reynolds:
@@ -127,21 +168,13 @@ def validate_config(cfg: ExperimentConfig) -> ExperimentConfig:
         _check_reynolds_values("target_reynolds", (cfg.target_reynolds,))
         _check_reynolds_values("param_sweep", cfg.param_sweep or ())
     elif cfg.problem == "transient":
-        if cfg.window is None or len(cfg.window) != 2 or cfg.window[0] > cfg.window[1]:
-            raise ConfigError("transient runs need window = [first_step, last_step]")
-        if cfg.period < 2:
-            raise ConfigError("period must be at least 2")
-        if cfg.target_step is None:
-            raise ConfigError("transient runs need target_step")
+        _check(cfg, _TRANSIENT_CHECKS)
         if cfg.window[0] <= cfg.target_step <= cfg.window[1]:
             raise ConfigError(
                 f"target step {cfg.target_step} must stay out of the window"
             )
     else:
-        if not cfg.snapshot_ux or not cfg.snapshot_uy:
-            raise ConfigError("ingested runs need snapshot_ux and snapshot_uy paths")
-        if cfg.target_index is None or cfg.target_index < 0:
-            raise ConfigError("ingested runs need a nonnegative target_index")
+        _check(cfg, _INGESTED_CHECKS)
     return cfg
 
 

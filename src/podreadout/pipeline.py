@@ -1,8 +1,10 @@
 """End-to-end orchestration: offline artifacts, shot sweeps and the two studies.
 
 problem_of is the one place that looks at the problem kind: every stage
-reads the Problem it returns.  Cavity fields come through a FieldCache;
-transient pairs are analytic and computed on each call.
+reads the Problem it returns, and Problem.targets prepares the held-out
+pair for readout.  Cavity fields come through a FieldCache, by default the
+config's own store (<out_dir>/fields); transient pairs are analytic and
+computed on each call.
 
 pod_bases builds and factors both components' snapshot matrices; only then
 does offline_component, the one offline stage (basis count, bond search),
@@ -12,9 +14,9 @@ same bases.
 
 All CSV output is deterministic for a given config: fixed row order, fixed
 17-significant-digit float formatting, randomness derived only from the
-config's seeds and the cell coordinates.  Wall-clock timing goes to the log,
-never into the CSVs; the wall_ms column exists for schema compatibility and
-is always 0.
+config's seeds and the cell coordinates.  No stage reads a clock yet, so
+timing is not recorded; the wall_ms column exists for schema compatibility
+and is always 0.
 """
 
 from __future__ import annotations
@@ -34,7 +36,7 @@ from pathlib import Path
 import numpy as np
 
 from . import circuit, flow, mps, pod, readout
-from .config import CASE_THRESHOLDS, ExperimentConfig, config_hash
+from .config import CASE_THRESHOLDS, METHODS, ExperimentConfig, config_hash
 from .errors import ConfigError, FieldError, NumericalError, SnapshotFormatError
 from .io_util import atomic_write_text, sha256_file
 
@@ -121,10 +123,6 @@ class FieldCache:
     def __init__(self, store_dir):
         self.store_dir = store_dir
 
-    @classmethod
-    def for_config(cls, cfg: ExperimentConfig) -> "FieldCache":
-        return cls(os.path.join(cfg.out_dir, "fields"))
-
     def state(self, re, nx, ny, tol, max_iters, lid_speed):
         """The (psi, omega) grids of one steady solve."""
         path = os.path.join(
@@ -163,6 +161,13 @@ def _read_ingested(cfg, read):
     return read_input(read, cfg.snapshot_ux), read_input(read, cfg.snapshot_uy)
 
 
+def unit_vector(field: flow.Field2D) -> np.ndarray:
+    nrm = np.linalg.norm(field.values)
+    if nrm == 0.0:
+        raise FieldError("zero-norm field cannot be normalized")
+    return field.values / nrm
+
+
 @dataclass(frozen=True)
 class Problem:
     """The fields of one config's problem, whatever its kind.
@@ -182,9 +187,15 @@ class Problem:
         pairs = [self.pair(p) for p in self.labels]
         return [p[0] for p in pairs], [p[1] for p in pairs], self.labels
 
+    def targets(self) -> dict:
+        """{"ux": ..., "uy": ...} readout.Target of the held-out pair's unit vectors."""
+        return {comp: readout.Target(unit_vector(f))
+                for comp, f in zip(COMPONENTS, self.pair(self.target))}
 
-def problem_of(cfg: ExperimentConfig, cache: FieldCache) -> Problem:
-    """The Problem a config describes; ingested snapshot files are read here."""
+
+def problem_of(cfg: ExperimentConfig, cache: FieldCache | None = None) -> Problem:
+    """The Problem a config describes; ingested snapshot files are read here.
+    Cavity fields come from cache, by default the config's own <out_dir>/fields."""
     if cfg.problem == "ingested":
         ux_all, uy_all = _read_ingested(cfg, flow.read_snapshot_file)
         for path, fields in ((cfg.snapshot_ux, ux_all), (cfg.snapshot_uy, uy_all)):
@@ -209,6 +220,9 @@ def problem_of(cfg: ExperimentConfig, cache: FieldCache) -> Problem:
             )
         return Problem(labels, cfg.target_index, lambda k: (ux_all[k], uy_all[k]), None)
     if cfg.problem == "cavity":
+        if cache is None:
+            cache = FieldCache(os.path.join(cfg.out_dir, "fields"))
+
         def pair(re):
             return cache.cavity(re, cfg.nx, cfg.ny, cfg.solver_tol, cfg.max_iters,
                                 cfg.lid_speed)
@@ -227,29 +241,6 @@ def problem_of(cfg: ExperimentConfig, cache: FieldCache) -> Problem:
     if cfg.param_sweep is not None:
         axis = cfg.param_sweep
     return Problem(labels, target, pair, axis)
-
-
-def ensemble_fields(cfg: ExperimentConfig, cache: FieldCache):
-    """Training snapshots for both components, with their parameter labels."""
-    return problem_of(cfg, cache).ensemble()
-
-
-def target_fields(cfg: ExperimentConfig, cache: FieldCache):
-    """The held-out (u_x, u_y) pair."""
-    prob = problem_of(cfg, cache)
-    return prob.pair(prob.target)
-
-
-def unit_vector(field: flow.Field2D) -> np.ndarray:
-    nrm = np.linalg.norm(field.values)
-    if nrm == 0.0:
-        raise FieldError("zero-norm field cannot be normalized")
-    return field.values / nrm
-
-
-def unit_targets(truth) -> dict:
-    """{"ux": ..., "uy": ...} unit vectors of a (u_x, u_y) target pair."""
-    return dict(zip(COMPONENTS, map(unit_vector, truth)))
 
 
 def pod_bases(prob: Problem) -> dict:
@@ -290,12 +281,7 @@ def offline_component(basis, thresholds, chi_cap) -> OfflineComponent:
     basis = basis.with_nb(n_b)
     e_proj_est = pod.proj_error_estimator(basis.sigma, basis.m, n_b)
     plan, approximants = mps.search_bond_plan(basis, enc_thr, chi_cap)
-    return OfflineComponent(
-        basis=basis,
-        plan=plan,
-        approximants=approximants,
-        e_proj_est=e_proj_est,
-    )
+    return OfflineComponent(basis, plan, approximants, e_proj_est)
 
 
 @dataclass
@@ -305,10 +291,9 @@ class OfflineResult:
     reused: bool
 
 
-def _component_files(comp: str, n_b: int):
-    yield f"{comp}_basis.podb"
-    for i in range(n_b):
-        yield f"{comp}_mps_{i:02d}.podm"
+def _component_files(comp: str, n_b: int) -> list:
+    """Artifact names of one component: its basis, then its n_b approximants."""
+    return [f"{comp}_basis.podb", *(f"{comp}_mps_{i:02d}.podm" for i in range(n_b))]
 
 
 def _snapshot_digests(cfg):
@@ -322,35 +307,36 @@ def _snapshot_digests(cfg):
     return dict(zip(COMPONENTS, _read_ingested(cfg, sha256_file)))
 
 
-def _try_reuse(cfg, out_dir, manifest_path):
+def _try_reuse(cfg, digests, manifest_path):
+    """The OfflineResult manifest_path records, or None when the artifacts must
+    be rebuilt: the manifest is missing or malformed (logged), it was written
+    for another config or other snapshot files (digests), or a file changed."""
     try:
         manifest = json.loads(Path(manifest_path).read_text())
     except (OSError, json.JSONDecodeError):
         return None
-    if manifest.get("config_hash") != config_hash(cfg):
-        return None
-    if manifest.get("snapshot_sha256") != _snapshot_digests(cfg):
+    try:
+        if (manifest.get("config_hash"), manifest.get("snapshot_sha256")) != (
+                config_hash(cfg), digests):
+            return None
+        recorded = []
+        for comp in COMPONENTS:
+            e = manifest["components"][comp]
+            recorded.append((comp, _component_files(comp, e["n_b"]), dict(e["files"]),
+                             mps.BondPlan(tuple(e["chis"]), float(e["e_enc_est"])),
+                             float(e["e_proj_est"])))
+    except (AttributeError, KeyError, TypeError, ValueError, FieldError) as exc:
+        log.warning("malformed manifest %s (%s: %s); rebuilding",
+                    manifest_path, type(exc).__name__, exc)
         return None
     components = {}
-    for comp in COMPONENTS:
-        entry = manifest.get("components", {}).get(comp)
-        if entry is None:
+    for comp, names, files, plan, e_proj_est in recorded:
+        paths = [os.path.join(cfg.out_dir, name) for name in names]
+        if not all(os.path.exists(path) and sha256_file(path) == files.get(name)
+                   for name, path in zip(names, paths)):
             return None
-        for name, digest in entry["files"].items():
-            path = os.path.join(out_dir, name)
-            if not os.path.exists(path) or sha256_file(path) != digest:
-                return None
-        basis = pod.load_basis(os.path.join(out_dir, f"{comp}_basis.podb"))
-        approximants = [
-            mps.load_mps(os.path.join(out_dir, f"{comp}_mps_{i:02d}.podm"))
-            for i in range(entry["n_b"])
-        ]
         components[comp] = OfflineComponent(
-            basis=basis,
-            plan=mps.BondPlan(tuple(entry["chis"]), entry["e_enc_est"]),
-            approximants=approximants,
-            e_proj_est=entry["e_proj_est"],
-        )
+            pod.load_basis(paths[0]), plan, [mps.load_mps(p) for p in paths[1:]], e_proj_est)
     return OfflineResult(components=components, manifest=manifest, reused=True)
 
 
@@ -362,11 +348,11 @@ def run_offline(cfg: ExperimentConfig, cache: FieldCache | None = None) -> Offli
     A rerun whose config hash and file hashes match loads everything back
     instead of recomputing.
     """
-    cache = cache or FieldCache.for_config(cfg)
     out_dir = cfg.out_dir
     os.makedirs(out_dir, exist_ok=True)
     manifest_path = os.path.join(out_dir, "manifest.json")
-    reused = _try_reuse(cfg, out_dir, manifest_path)
+    digests = _snapshot_digests(cfg)  # hashed before reading: a rewrite never goes unseen
+    reused = _try_reuse(cfg, digests, manifest_path)
     if reused is not None:
         log.info("offline artifacts reused from %s", out_dir)
         return reused
@@ -377,7 +363,6 @@ def run_offline(cfg: ExperimentConfig, cache: FieldCache | None = None) -> Offli
         "thresholds": list(cfg.thresholds),
         "components": {},
     }
-    digests = _snapshot_digests(cfg)  # hashed before reading: a rewrite never goes unseen
     if digests is not None:
         manifest["snapshot_sha256"] = digests
     bases = pod_bases(problem_of(cfg, cache))
@@ -389,19 +374,16 @@ def run_offline(cfg: ExperimentConfig, cache: FieldCache | None = None) -> Offli
         except NumericalError as exc:
             raise NumericalError(f"offline stage, component {comp}: {exc}") from exc
         components[comp] = art
-        pod.save_basis(art.basis, os.path.join(out_dir, f"{comp}_basis.podb"))
-        for i, m in enumerate(art.approximants):
-            mps.save_mps(m, os.path.join(out_dir, f"{comp}_mps_{i:02d}.podm"))
-        files = {
-            name: sha256_file(os.path.join(out_dir, name))
-            for name in _component_files(comp, art.basis.n_b)
-        }
+        names = _component_files(comp, art.basis.n_b)
+        pod.save_basis(art.basis, os.path.join(out_dir, names[0]))
+        for name, m in zip(names[1:], art.approximants):
+            mps.save_mps(m, os.path.join(out_dir, name))
         manifest["components"][comp] = {
             "n_b": art.basis.n_b,
             "chis": list(art.plan.chis),
             "e_proj_est": art.e_proj_est,
             "e_enc_est": art.plan.estimated_error,
-            "files": files,
+            "files": {name: sha256_file(os.path.join(out_dir, name)) for name in names},
         }
     atomic_write_text(
         manifest_path, json.dumps(manifest, indent=2, sort_keys=True) + "\n"
@@ -428,16 +410,10 @@ def harmonized_shots(requested: int, n_bs) -> int:
     return max((requested // l) * l, l)
 
 
-def prepared_targets(truth) -> dict:
-    """{"ux": ..., "uy": ...} readout.Target of a (u_x, u_y) target pair."""
-    return {comp: readout.Target(x) for comp, x in unit_targets(truth).items()}
-
-
 def run_cell(cfg, offline, target, comp, method, n_shot, seed):
-    """One readout of component comp's target, a readout.Target (or its unit
-    vector, prepared afresh)."""
+    """One readout of component comp's target, a readout.Target."""
     comp_idx = COMPONENTS.index(comp)
-    method_idx = ("PODR", "RSR", "FSR").index(method)
+    method_idx = METHODS.index(method)
     cell = _cell_seed(seed, comp_idx, method_idx, n_shot)
     art = offline.components[comp]
     if method == "PODR":
@@ -464,13 +440,12 @@ def run_shot_sweep(cfg: ExperimentConfig, offline: OfflineResult,
     component's target is prepared once, for all of its cells, and dropped
     before the next component's.
     """
-    cache = cache or FieldCache.for_config(cfg)
-    targets = unit_targets(target_fields(cfg, cache))
+    targets = problem_of(cfg, cache).targets()
     h = config_hash(cfg)
 
     lines, rows, eps = [], [], {}
     for comp in COMPONENTS:
-        target = readout.Target(targets.pop(comp))
+        target = targets.pop(comp)
         for method, n_shot, seed in itertools.product(cfg.methods, cfg.shot_grid, cfg.seeds):
             # a report holds 2^n-entry arrays: keep only the scalars of its
             # row, and free it before the next cell allocates its own
@@ -516,7 +491,7 @@ def run_shot_sweep(cfg: ExperimentConfig, offline: OfflineResult,
 
 def run_param_study(cfg: ExperimentConfig, cache: FieldCache | None = None):
     """Exact projection error across a parameter sweep at both case settings."""
-    prob = problem_of(cfg, cache or FieldCache.for_config(cfg))
+    prob = problem_of(cfg, cache)
     if prob.axis is None:
         raise ConfigError(
             "param-study needs a parameter axis; ingested snapshots have none"
@@ -586,7 +561,6 @@ def run_depth_study(cfg: ExperimentConfig, cache: FieldCache | None = None,
     on coarse grids the greedy plan can leave the last basis cheaper than an
     earlier one.  Writes depth_study.csv into cfg.out_dir.
     """
-    cache = cache or FieldCache.for_config(cfg)
     if problem_of(cfg, cache).axis is None:
         raise ConfigError(
             "depth-study re-solves the ensemble on each grid size; "

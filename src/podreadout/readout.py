@@ -15,13 +15,13 @@ streams inside PODR split off the seed by basis index.  An analytic mode
 replaces sampled quantities with their expectations so the shot-noise term
 can be isolated in tests.
 
-Each protocol takes x as a Target, or as a plain vector that it wraps in a
-fresh one.  A Target checks x's norm once and computes what does not depend
-on the shots or the seed on first use, then keeps it: PODR's overlaps and
-exact E_proj and E_enc, RSR's probabilities, FSR's spectrum probabilities
-and phases.  A sweep prepares each target once and hands it to every cell,
-which then only samples and rebuilds; the expressions are the ones a fresh
-Target evaluates, so the results are the same bits.
+Each protocol takes x as a Target.  A Target checks x's norm once and
+computes what does not depend on the shots or the seed on first use, then
+keeps it: PODR's overlaps and exact E_proj and E_enc, RSR's probabilities,
+FSR's spectrum probabilities and phases.  A sweep prepares each target once
+and hands it to every cell, which then only samples and rebuilds; the
+expressions are the ones a fresh Target evaluates, so the results are the
+same bits.
 """
 
 from __future__ import annotations
@@ -110,11 +110,6 @@ class Target:
         return q, phases
 
 
-def _as_target(x) -> Target:
-    """x itself when it is a Target, else a fresh Target of x."""
-    return x if isinstance(x, Target) else Target(x)
-
-
 def coefficient_from_counts(z0: int, n_shot_basis: int) -> float:
     """Estimated coefficient 2 * z0 / n - 1 from ancilla zero counts."""
     return 2.0 * z0 / n_shot_basis - 1.0
@@ -132,7 +127,7 @@ def sample_coefficient(p0: float, n_shot_basis: int, rng_seed) -> float:
 
 
 def podr_readout(
-    target,
+    target: Target,
     basis: PodBasisSet,
     approximants,
     n_shot_total: int,
@@ -142,12 +137,10 @@ def podr_readout(
 ) -> ReadoutReport:
     """Estimate the first n_b coefficients and rebuild with the exact bases.
 
-    target is a Target or a unit vector x.  The shot budget must divide
-    evenly across the bases.  The report's budget carries the exact
-    projection and encoding errors of this x plus the Chebyshev-style
-    sampling bound beta * sqrt(n_b / shots_per_basis).
+    The shot budget must divide evenly across the bases.  The report's
+    budget carries the exact projection and encoding errors of this x plus
+    the Chebyshev-style sampling bound beta * sqrt(n_b / shots_per_basis).
     """
-    target = _as_target(target)
     x = target.x
     n_b = basis.n_b
     if len(approximants) != n_b:
@@ -189,7 +182,7 @@ def podr_readout(
 
 
 def rsr_readout(
-    target,
+    target: Target,
     n_shot_total: int,
     seed: int,
     sign_oracle: bool = True,
@@ -197,11 +190,9 @@ def rsr_readout(
 ) -> ReadoutReport:
     """Sample grid indices from |x_j|^2 and estimate magnitudes from counts.
 
-    target is a Target or a unit vector x.  Z-basis sampling cannot see
-    signs, so by default they come from the true state, which makes this
-    baseline optimistic.
+    Z-basis sampling cannot see signs, so by default they come from the true
+    state, which makes this baseline optimistic.
     """
-    target = _as_target(target)
     x, p = target.x, target.probabilities
     if analytic:
         freq = p
@@ -225,7 +216,7 @@ def rsr_readout(
 
 
 def fsr_readout(
-    target,
+    target: Target,
     n_shot_total: int,
     cutoff: float,
     seed: int,
@@ -235,11 +226,9 @@ def fsr_readout(
 
     Samples the unitary-DFT spectrum of x, keeps modes whose estimated
     probability exceeds the cutoff, assigns them sqrt(probability) with
-    exact phases, and inverse-transforms.  target is a Target or a unit
-    vector x.  Reported as "FSR (idealized)" in human-readable output; the
-    method tag stays FSR.
+    exact phases, and inverse-transforms.  Reported as "FSR (idealized)" in
+    human-readable output; the method tag stays FSR.
     """
-    target = _as_target(target)
     x = target.x
     if not (0.0 < cutoff < 1.0):
         raise FieldError(f"cutoff {cutoff} outside (0, 1)")

@@ -15,7 +15,7 @@ import numpy as np
 from .errors import FieldError
 from .flow import Field2D
 from .io_util import atomic_write_text
-from .pipeline import fmt, unit_targets
+from .pipeline import fmt
 
 METHOD_LABELS = {"PODR": "PODR", "RSR": "RSR", "FSR": "FSR (idealized)", "truth": "truth"}
 
@@ -67,16 +67,17 @@ def svg_heatmap(field: Field2D, path, title: str = "") -> None:
     atomic_write_text(path, "\n".join(parts) + "\n")
 
 
-def emit_visual_comparison(cfg, reports, truth):
+def emit_visual_comparison(cfg, reports, targets):
     """Export u_x, u_y and psi panels for each method plus the truth.
 
     reports maps method name to {"ux": ReadoutReport, "uy": ReadoutReport}
-    at one shared shot budget; truth is the (u_x, u_y) field pair.  Writes
-    under cfg.out_dir/visual and returns the list of written file paths.
+    at one shared shot budget; targets maps "ux" and "uy" to the
+    readout.Target they read, whose x is the truth panel.  Writes under
+    cfg.out_dir/visual and returns the list of written file paths.
     """
     out_dir = os.path.join(cfg.out_dir, "visual")
     os.makedirs(out_dir, exist_ok=True)
-    panels = {"truth": unit_targets(truth)}
+    panels = {"truth": {c: targets[c].x for c in ("ux", "uy")}}
     for method, comp_reports in reports.items():
         if set(comp_reports) != {"ux", "uy"}:
             raise FieldError(f"method {method} must report both components")

@@ -16,12 +16,10 @@ from podreadout.config import ExperimentConfig
 from podreadout.mps import search_bond_plan
 from podreadout.pipeline import (
     FieldCache,
-    ensemble_fields,
+    problem_of,
     run_offline,
     run_param_study,
     run_shot_sweep,
-    target_fields,
-    unit_vector,
 )
 
 CAVITY_RE = tuple(range(100, 1001, 100))
@@ -81,13 +79,14 @@ def cavity_case2_config(tmp_path_factory):
 @pytest.fixture(scope="session")
 def cavity_ensemble(cavity_case1_config, cache):
     _progress("solving the 64x64 cavity ensemble (10 Reynolds numbers)")
-    ux, uy, labels = ensemble_fields(cavity_case1_config, cache)
+    ux, uy, labels = problem_of(cavity_case1_config, cache).ensemble()
     return {"ux": ux, "uy": uy, "labels": labels}
 
 
 @pytest.fixture(scope="session")
 def cavity_target(cavity_case1_config, cache):
-    tx, ty = target_fields(cavity_case1_config, cache)
+    prob = problem_of(cavity_case1_config, cache)
+    tx, ty = prob.pair(prob.target)
     return {"ux": tx, "uy": ty}
 
 

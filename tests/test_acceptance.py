@@ -18,7 +18,6 @@ from podreadout.config import ExperimentConfig
 from podreadout.flow import Field2D, transient_pair
 from podreadout.mps import contract, tt_svd
 from podreadout.pipeline import (
-    FieldCache,
     run_offline,
     run_param_study,
     run_shot_sweep,
@@ -30,7 +29,7 @@ from podreadout.pod import (
     pod_decompose,
     proj_error_estimator,
 )
-from podreadout.readout import error_budget_check, podr_readout
+from podreadout.readout import Target, error_budget_check, podr_readout
 from podreadout.visualize import stream_function
 
 from test_mps import schmidt_truncation_fidelity
@@ -95,7 +94,7 @@ def test_criterion_01_estimator_exactness(cavity_bases):
 
 
 def test_criterion_02_sampling_error_scaling(sweep_case2, offline_case2, cavity_target):
-    x = unit_vector(cavity_target["ux"])
+    x = Target(unit_vector(cavity_target["ux"]))
     _, floor = analytic_floor(offline_case2, "ux", x)
     s_podr, k_podr = loglog_slope(
         median_curve(sweep_case2, "PODR", "ux"), floor=floor
@@ -111,7 +110,7 @@ def test_criterion_02_sampling_error_scaling(sweep_case2, offline_case2, cavity_
 
 
 def test_criterion_03_plateau(offline_case1, sweep_case2, offline_case2, cavity_target):
-    x = unit_vector(cavity_target["ux"])
+    x = Target(unit_vector(cavity_target["ux"]))
     rep, floor = analytic_floor(offline_case1, "ux", x)
     gap = abs(rep.epsilon - floor)
     # analytic mode stands in for the infinite-shot limit
@@ -135,7 +134,7 @@ def test_criterion_03_plateau(offline_case1, sweep_case2, offline_case2, cavity_
 
 def test_criterion_04_error_bound_coverage(offline_case1, cavity_target):
     art = offline_case1.components["ux"]
-    x = unit_vector(cavity_target["ux"])
+    x = Target(unit_vector(cavity_target["ux"]))
     shots = (10**4 // art.basis.n_b) * art.basis.n_b
     hits2 = hits4 = 0
     trials = 200
@@ -260,10 +259,9 @@ def test_criterion_10_byte_determinism(tmp_path):
     artifacts = ("sweep.csv", "sweep_medians.csv", "param_study.csv", "manifest.json")
 
     def run(cfg):
-        cache = FieldCache.for_config(cfg)
-        offline = run_offline(cfg, cache)
-        run_shot_sweep(cfg, offline, cache)
-        run_param_study(cfg, cache)
+        offline = run_offline(cfg)
+        run_shot_sweep(cfg, offline)
+        run_param_study(cfg)
         return {
             name: open(os.path.join(cfg.out_dir, name), "rb").read()
             for name in artifacts

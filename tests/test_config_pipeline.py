@@ -1,12 +1,16 @@
 import dataclasses
+import importlib.util
 import json
+import logging
 import os
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from podreadout import mps, pipeline, pod, readout
+from podreadout.cli import main
 from podreadout.config import (
     CASE_THRESHOLDS,
     ExperimentConfig,
@@ -17,8 +21,6 @@ from podreadout.config import (
 from podreadout.errors import ConfigError, NumericalError
 from podreadout.flow import transient_pair, write_snapshot_file
 from podreadout.pipeline import (
-    FieldCache,
-    ensemble_fields,
     harmonized_shots,
     podr_shots,
     problem_of,
@@ -119,6 +121,55 @@ class TestConfig:
         with pytest.raises(ConfigError, match="fsr_cutoff"):
             config_from_dict({**doc, "fsr_cutoff": 0.0})
 
+    def test_shipped_and_benchmark_configs_validate(self, monkeypatch):
+        root = Path(__file__).resolve().parents[1]
+        shipped = sorted((root / "configs").glob("*.json"))
+        assert shipped and all(load_config(path) for path in shipped)
+        spec = importlib.util.spec_from_file_location(
+            "bench_workloads", root / "perfbench" / "workloads.py")
+        workloads = importlib.util.module_from_spec(spec)
+        monkeypatch.setitem(sys.modules, spec.name, workloads)
+        spec.loader.exec_module(workloads)
+        for w in workloads.WORKLOADS.values():
+            config_from_dict(workloads.generate(w, 1, "out"))
+
+
+TRANSIENT_DOC = dict(problem="transient", nx=16, ny=16, window=[0, 5], period=8,
+                     target_step=7, chi_cap=8, shot_grid=[500], seeds=[0])
+INGESTED_DOC = dict(problem="ingested", nx=16, ny=16, snapshot_ux="ux.pods",
+                    snapshot_uy="uy.pods", target_index=2, shot_grid=[500], seeds=[0])
+BAD_VALUES = [
+    (TRANSIENT_DOC, "period", "8", "offline"),
+    (TRANSIENT_DOC, "beta", "2", "offline"),
+    (TRANSIENT_DOC, "solver_tol", "x", "offline"),
+    (TRANSIENT_DOC, "max_iters", "x", "offline"),
+    (TRANSIENT_DOC, "lid_speed", "1", "offline"),
+    (TRANSIENT_DOC, "lid_speed", 0, "offline"),
+    (TRANSIENT_DOC, "fsr_cutoff", None, "sweep"),
+    (TRANSIENT_DOC, "case", ["case1"], "offline"),
+    (TRANSIENT_DOC, "transient_seed", -1, "offline"),
+    (TRANSIENT_DOC, "window", [0, "5"], "offline"),
+    (TRANSIENT_DOC, "window", [-3, 5], "offline"),
+    (TRANSIENT_DOC, "param_sweep", ["a"], "param-study"),
+    (TRANSIENT_DOC, "sign_oracle", "no", "offline"),
+    (TRANSIENT_DOC, "chi_cap", True, "offline"),
+    (INGESTED_DOC, "target_index", "2", "offline"),
+    (INGESTED_DOC, "target_index", 2.5, "offline"),
+]
+
+
+@pytest.mark.parametrize("base, key, value, command", BAD_VALUES,
+                         ids=[f"{key}={value!r}" for _, key, value, _ in BAD_VALUES])
+def test_wrongly_typed_value_exits_2_naming_key_and_value(
+    tmp_path, capsys, base, key, value, command
+):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({**base, key: value, "out_dir": str(tmp_path / "out")}))
+    assert main(["--config", str(path), command]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and key in err and repr(value) in err, err
+    assert not (tmp_path / "out").exists()
+
 
 class TestShotHelpers:
     def test_podr_shots_rounds_down(self):
@@ -134,8 +185,7 @@ class TestShotHelpers:
 class TestOffline:
     def test_offline_persists_and_reuses(self, tmp_path):
         cfg = transient_config(tmp_path / "out")
-        cache = FieldCache.for_config(cfg)
-        first = run_offline(cfg, cache)
+        first = run_offline(cfg)
         assert not first.reused
         manifest_path = os.path.join(cfg.out_dir, "manifest.json")
         manifest_bytes = open(manifest_path, "rb").read()
@@ -143,7 +193,7 @@ class TestOffline:
             name: os.stat(os.path.join(cfg.out_dir, name)).st_mtime_ns
             for name in os.listdir(cfg.out_dir)
         }
-        second = run_offline(cfg, cache)
+        second = run_offline(cfg)
         assert second.reused
         assert open(manifest_path, "rb").read() == manifest_bytes
         for name, t in mtimes.items():
@@ -169,6 +219,24 @@ class TestOffline:
         changed = dataclasses.replace(cfg, target_step=26)
         res = run_offline(changed)
         assert not res.reused
+
+    @pytest.mark.parametrize("shape", ["list", "ux-without-n_b"])
+    def test_malformed_manifest_rebuilds_with_a_warning(self, tmp_path, caplog, shape):
+        cfg = transient_config(tmp_path / "out")
+        run_offline(cfg)
+        path = Path(cfg.out_dir) / "manifest.json"
+        good = path.read_bytes()
+        manifest = json.loads(good)
+        if shape == "list":
+            manifest = []
+        else:
+            del manifest["components"]["ux"]["n_b"]
+        path.write_text(json.dumps(manifest))
+        with caplog.at_level(logging.WARNING, logger="podreadout"):
+            assert not run_offline(cfg).reused
+        assert "malformed manifest" in caplog.text
+        assert path.read_bytes() == good
+        assert run_offline(cfg).reused
 
     def test_both_bases_before_any_bond_search(self, tmp_path, monkeypatch):
         calls = []
@@ -196,7 +264,7 @@ class TestOffline:
             snapshot_uy=str(uy_path), target_index=7, chi_cap=8,
             out_dir=str(tmp_path / "out"), shot_grid=(1000,), seeds=(0,),
         )
-        ux, uy, labels = ensemble_fields(cfg, FieldCache.for_config(cfg))
+        ux, uy, labels = problem_of(cfg).ensemble()
         assert len(ux) == 7 and 7 not in labels
         res = run_offline(cfg)
         assert set(res.components) == {"ux", "uy"}
@@ -226,13 +294,40 @@ class TestOffline:
         )
         assert run_offline(cfg).reused
 
+    def test_ingested_files_hashed_once_per_offline(self, tmp_path, monkeypatch):
+        paths = [str(tmp_path / f"{comp}.pods") for comp in ("ux", "uy")]
+
+        def ingest(seed):
+            pairs = [transient_pair(t, 5, 32, 16, seed=seed) for t in range(8)]
+            for k, path in enumerate(paths):
+                write_snapshot_file([p[k] for p in pairs], path)
+
+        cfg = ExperimentConfig(
+            problem="ingested", nx=32, ny=16, snapshot_ux=paths[0],
+            snapshot_uy=paths[1], target_index=7, chi_cap=8,
+            out_dir=str(tmp_path / "out"), shot_grid=(1000,), seeds=(0,),
+        )
+        hashed = []
+        sha256_file = pipeline.sha256_file
+
+        def spy(path):
+            hashed.append(str(path))
+            return sha256_file(path)
+
+        monkeypatch.setattr(pipeline, "sha256_file", spy)
+        # built, reused, then rebuilt from files rewritten in place
+        for seed, reused in ((1, False), (1, True), (2, False)):
+            ingest(seed)
+            hashed.clear()
+            assert run_offline(cfg).reused is reused
+            assert [p for p in hashed if p in paths] == paths
+
 
 class TestSweep:
     def test_sweep_csv_schema_and_determinism(self, tmp_path):
         cfg = transient_config(tmp_path / "out")
-        cache = FieldCache.for_config(cfg)
-        offline = run_offline(cfg, cache)
-        rows = run_shot_sweep(cfg, offline, cache)
+        offline = run_offline(cfg)
+        rows = run_shot_sweep(cfg, offline)
         assert len(rows) == 2 * 3 * 2 * 2  # comps x methods x budgets x seeds
         sweep_path = os.path.join(cfg.out_dir, "sweep.csv")
         med_path = os.path.join(cfg.out_dir, "sweep_medians.csv")
@@ -246,7 +341,7 @@ class TestSweep:
         h = config_hash(cfg)
         for line in first.decode().splitlines()[1:]:
             assert line.startswith(h + ",")
-        run_shot_sweep(cfg, offline, cache)
+        run_shot_sweep(cfg, offline)
         assert open(sweep_path, "rb").read() == first
         assert open(med_path, "rb").read() == first_med
 
@@ -255,8 +350,7 @@ class TestSweep:
     ):
         def sweep_bytes(out):
             cfg = transient_config(out)
-            cache = FieldCache.for_config(cfg)
-            run_shot_sweep(cfg, run_offline(cfg, cache), cache)
+            run_shot_sweep(cfg, run_offline(cfg))
             return open(os.path.join(cfg.out_dir, "sweep.csv"), "rb").read()
 
         offline = run_offline(transient_config(tmp_path / "once"))
@@ -289,8 +383,7 @@ class TestSweep:
     def test_rows_hold_scalars_only(self, tmp_path):
         # a readout report holds N-entry arrays; the sweep must not keep them
         cfg = transient_config(tmp_path / "out")
-        cache = FieldCache.for_config(cfg)
-        rows = run_shot_sweep(cfg, run_offline(cfg, cache), cache)
+        rows = run_shot_sweep(cfg, run_offline(cfg))
         assert rows and all(
             not isinstance(v, np.ndarray) for row in rows for v in row.values()
         )
@@ -298,10 +391,9 @@ class TestSweep:
 
     def test_podr_budget_rounded_to_nb_multiple(self, tmp_path):
         cfg = transient_config(tmp_path / "out", shot_grid=(1001,), seeds=(0,))
-        cache = FieldCache.for_config(cfg)
-        offline = run_offline(cfg, cache)
+        offline = run_offline(cfg)
         n_b = offline.components["ux"].basis.n_b
-        rows = run_shot_sweep(cfg, offline, cache)
+        rows = run_shot_sweep(cfg, offline)
         podr_rows = [r for r in rows if r["method"] == "PODR"]
         for r in podr_rows:
             nb = offline.components[r["component"]].basis.n_b
@@ -310,8 +402,7 @@ class TestSweep:
     def test_duplicate_budgets_repeat_their_rows(self, tmp_path):
         def sweep(out, shot_grid):
             cfg = transient_config(tmp_path / out, shot_grid=shot_grid)
-            cache = FieldCache.for_config(cfg)
-            run_shot_sweep(cfg, run_offline(cfg, cache), cache)
+            run_shot_sweep(cfg, run_offline(cfg))
             # drop the config hash column, which differs between the grids
             return {
                 name: [line.split(",", 1)[1] for line in
@@ -331,9 +422,8 @@ class TestSweep:
             tmp_path / "out", shot_grid=(1_000, 10_000, 100_000),
             seeds=(0, 1, 2, 3, 4),
         )
-        cache = FieldCache.for_config(cfg)
-        offline = run_offline(cfg, cache)
-        rows = run_shot_sweep(cfg, offline, cache)
+        offline = run_offline(cfg)
+        rows = run_shot_sweep(cfg, offline)
         for comp in ("ux", "uy"):
             meds = []
             for budget in cfg.shot_grid:
@@ -347,7 +437,7 @@ class TestSweep:
 class TestParamStudy:
     def test_transient_study_covers_window_and_beyond(self, tmp_path):
         cfg = transient_config(tmp_path / "out")
-        rows = run_param_study(cfg, FieldCache.for_config(cfg))
+        rows = run_param_study(cfg)
         params = sorted({r["parameter"] for r in rows})
         assert params[0] == 0 and params[-1] == 30
         in_flags = {r["parameter"]: r["in_ensemble"] for r in rows}
@@ -362,7 +452,7 @@ class TestParamStudy:
     def test_post_window_steps_stay_representable(self, tmp_path):
         # exact periodicity means later steps project like in-window ones
         cfg = transient_config(tmp_path / "out")
-        rows = run_param_study(cfg, FieldCache.for_config(cfg))
+        rows = run_param_study(cfg)
         post = [r for r in rows if r["component"] == "ux" and r["parameter"] > 20]
         assert post
         assert all(r["e_proj_case1"] <= 5 * 5e-3 for r in post)
@@ -372,19 +462,18 @@ class TestParamStudy:
             problem="cavity", nx=64, ny=64, reynolds=(100.0, 200.0, 300.0),
             target_reynolds=250.0, out_dir=str(tmp_path),
         )
-        sweep = problem_of(cfg, FieldCache.for_config(cfg)).axis
+        sweep = problem_of(cfg).axis
         assert sweep == (50.0, 100.0, 150.0, 200.0, 250.0, 300.0, 350.0)
 
 
 class TestProblem:
     def test_param_sweep_replaces_the_default_axis(self, tmp_path):
         cfg = transient_config(tmp_path / "out")
-        cache = FieldCache.for_config(cfg)
-        prob = problem_of(cfg, cache)
+        prob = problem_of(cfg)
         assert prob.labels == tuple(range(0, 21)) and prob.target == 25
         assert prob.axis == tuple(range(0, 31))
         swept = dataclasses.replace(cfg, param_sweep=(3, 7))
-        assert problem_of(swept, cache).axis == (3, 7)
+        assert problem_of(swept).axis == (3, 7)
 
     def test_ingested_has_no_axis_even_with_a_param_sweep(self, tmp_path):
         pairs = [transient_pair(t, 8, 32, 16, seed=1) for t in range(4)]
@@ -395,7 +484,7 @@ class TestProblem:
             snapshot_uy=str(tmp_path / "uy.pods"), target_index=1, param_sweep=(0, 2),
             out_dir=str(tmp_path / "out"),
         )
-        prob = problem_of(cfg, FieldCache.for_config(cfg))
+        prob = problem_of(cfg)
         assert prob.axis is None and prob.labels == (0, 2, 3) and prob.target == 1
         assert prob.pair(2)[1].values.tobytes() == pairs[2][1].values.tobytes()
         with pytest.raises(ConfigError, match="param-study needs a parameter axis"):

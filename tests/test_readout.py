@@ -9,6 +9,7 @@ from podreadout.flow import Field2D
 from podreadout.mps import tt_svd
 from podreadout.pod import PodBasisSet, build_snapshot_matrix, pod_decompose
 from podreadout.readout import (
+    Target,
     coefficient_from_counts,
     error_budget_check,
     fsr_readout,
@@ -40,7 +41,7 @@ def podr_p0(monkeypatch, x, u):
 
     monkeypatch.setattr(readout, "sample_coefficient", spy)
     basis = PodBasisSet(u=u[:, None], sigma=np.ones(1), v=np.ones((1, 1)), n_b=1)
-    podr_readout(x, basis, [tt_svd(u, 2)], 1, seed=0)
+    podr_readout(Target(x), basis, [tt_svd(u, 2)], 1, seed=0)
     return seen[0]
 
 
@@ -61,9 +62,9 @@ class TestHadamardP0:
         u = np.array([0.6, 0.8, 0.0, 0.0])
         assert podr_p0(monkeypatch, x, u) == pytest.approx(0.8, abs=1e-15)
 
-    def test_norm_deviation_rejected(self, monkeypatch):
+    def test_norm_deviation_rejected(self):
         with pytest.raises(FieldError, match="unit norm"):
-            podr_p0(monkeypatch, np.array([1.0, 1e-3, 0.0, 0.0]), np.eye(4)[0])
+            Target(np.array([1.0, 1e-3, 0.0, 0.0]))
 
 
 class TestSampleCoefficient:
@@ -103,23 +104,23 @@ class TestPodrReadout:
         rng = np.random.default_rng(5)
         x = basis.u @ rng.normal(size=6)
         x /= np.linalg.norm(x)
-        rep = podr_readout(x, basis, apx, 600, seed=0, analytic=True)
+        rep = podr_readout(Target(x), basis, apx, 600, seed=0, analytic=True)
         assert rep.epsilon <= 1e-10
 
     def test_budget_divisibility_enforced(self):
         basis, apx, x = small_problem()
         with pytest.raises(FieldError, match="divisible"):
-            podr_readout(x, basis, apx, 1001, seed=0)
+            podr_readout(Target(x), basis, apx, 1001, seed=0)
 
     def test_approximant_count_enforced(self):
         basis, apx, x = small_problem()
         with pytest.raises(FieldError, match="approximants"):
-            podr_readout(x, basis, apx[:-1], 1000, seed=0)
+            podr_readout(Target(x), basis, apx[:-1], 1000, seed=0)
 
     def test_analytic_epsilon_matches_dense_expansion(self):
         # oracle: expand the residual directly in the augmented basis
         basis, apx, x = small_problem(chi=2)
-        rep = podr_readout(x, basis, apx, 4000, seed=0, analytic=True)
+        rep = podr_readout(Target(x), basis, apx, 4000, seed=0, analytic=True)
         n_b = basis.n_b
         un = basis.u[:, :n_b]
         overlaps = np.array([float(x @ np.asarray(a.dense)) for a in apx])
@@ -131,36 +132,36 @@ class TestPodrReadout:
 
     def test_shot_bookkeeping(self):
         basis, apx, x = small_problem()
-        rep = podr_readout(x, basis, apx, 4000, seed=1)
+        rep = podr_readout(Target(x), basis, apx, 4000, seed=1)
         assert rep.n_shot_total == 4000
         assert rep.n_b == 4
         assert len(rep.estimated_coefficients) == 4
 
     def test_seed_determinism(self):
         basis, apx, x = small_problem()
-        a = podr_readout(x, basis, apx, 4000, seed=9)
-        b = podr_readout(x, basis, apx, 4000, seed=9)
+        a = podr_readout(Target(x), basis, apx, 4000, seed=9)
+        b = podr_readout(Target(x), basis, apx, 4000, seed=9)
         assert np.array_equal(a.estimated_coefficients, b.estimated_coefficients)
 
 
 class TestRsrReadout:
     def test_uniform_state_analytic(self):
         x = np.full(4, 0.5)
-        rep = rsr_readout(x, 100, seed=0, analytic=True)
+        rep = rsr_readout(Target(x), 100, seed=0, analytic=True)
         assert np.allclose(rep.reconstruction, 0.5, atol=1e-15)
         assert rep.epsilon <= 1e-15
 
     def test_point_mass_exact_with_sign_oracle(self):
         x = np.zeros(8)
         x[3] = 1.0
-        rep = rsr_readout(x, 1, seed=4)
+        rep = rsr_readout(Target(x), 1, seed=4)
         assert rep.epsilon == 0.0
 
     def test_negative_point_mass_needs_sign_oracle(self):
         x = np.zeros(8)
         x[3] = -1.0
-        with_oracle = rsr_readout(x, 10, seed=4, sign_oracle=True)
-        without = rsr_readout(x, 10, seed=4, sign_oracle=False)
+        with_oracle = rsr_readout(Target(x), 10, seed=4, sign_oracle=True)
+        without = rsr_readout(Target(x), 10, seed=4, sign_oracle=False)
         assert with_oracle.epsilon == 0.0
         assert without.epsilon == pytest.approx(2.0)
 
@@ -169,7 +170,7 @@ class TestRsrReadout:
         x = rng.normal(size=256)
         x /= np.linalg.norm(x)
         eps = [
-            np.median([rsr_readout(x, n, seed=s).epsilon for s in range(5)])
+            np.median([rsr_readout(Target(x), n, seed=s).epsilon for s in range(5)])
             for n in (10**3, 10**5)
         ]
         assert eps[1] < eps[0]
@@ -178,10 +179,10 @@ class TestRsrReadout:
 class TestFsrReadout:
     def test_constant_state_single_mode(self):
         x = np.full(16, 0.25)
-        rep = fsr_readout(x, 10**4, cutoff=0.01, seed=0)
+        rep = fsr_readout(Target(x), 10**4, cutoff=0.01, seed=0)
         assert rep.kept_modes == 1
         assert rep.epsilon <= 0.05
-        analytic = fsr_readout(x, 10**4, cutoff=0.01, seed=0, analytic=True)
+        analytic = fsr_readout(Target(x), 10**4, cutoff=0.01, seed=0, analytic=True)
         assert analytic.epsilon <= 1e-12
 
     def test_single_fourier_mode_analytic(self):
@@ -189,20 +190,20 @@ class TestFsrReadout:
         k = 5
         x = np.cos(2 * np.pi * k * np.arange(n) / n)
         x /= np.linalg.norm(x)
-        rep = fsr_readout(x, 100, cutoff=0.1, seed=0, analytic=True)
+        rep = fsr_readout(Target(x), 100, cutoff=0.1, seed=0, analytic=True)
         assert rep.epsilon <= 1e-12
         assert rep.kept_modes == 2  # the +-k pair of a real mode
 
     def test_cutoff_validation(self):
         with pytest.raises(FieldError):
-            fsr_readout(np.ones(4) / 2.0, 100, cutoff=1.5, seed=0)
+            fsr_readout(Target(np.ones(4) / 2.0), 100, cutoff=1.5, seed=0)
 
     def test_kept_modes_grow_with_budget(self):
         rng = np.random.default_rng(12)
         smooth = np.cumsum(rng.normal(size=256))
         smooth /= np.linalg.norm(smooth)
-        lo = fsr_readout(smooth, 10**3, cutoff=1e-4, seed=1)
-        hi = fsr_readout(smooth, 10**6, cutoff=1e-4, seed=1)
+        lo = fsr_readout(Target(smooth), 10**3, cutoff=1e-4, seed=1)
+        hi = fsr_readout(Target(smooth), 10**6, cutoff=1e-4, seed=1)
         assert hi.kept_modes >= lo.kept_modes
         assert hi.epsilon <= lo.epsilon
 
@@ -210,11 +211,11 @@ class TestFsrReadout:
 class TestErrorBudget:
     def test_analytic_mode_always_within_budget(self):
         basis, apx, x = small_problem()
-        rep = podr_readout(x, basis, apx, 4000, seed=0, analytic=True)
+        rep = podr_readout(Target(x), basis, apx, 4000, seed=0, analytic=True)
         assert error_budget_check(rep)
 
     def test_rejects_non_podr_reports(self):
-        rep = rsr_readout(np.ones(4) / 2.0, 10, seed=0)
+        rep = rsr_readout(Target(np.ones(4) / 2.0), 10, seed=0)
         with pytest.raises(FieldError):
             error_budget_check(rep)
 
@@ -222,7 +223,7 @@ class TestErrorBudget:
         basis, apx, x = small_problem(chi=4)
         checks2, checks4 = [], []
         for seed in range(200):
-            rep = podr_readout(x, basis, apx, 2000, seed=seed, beta=2.0)
+            rep = podr_readout(Target(x), basis, apx, 2000, seed=seed, beta=2.0)
             checks2.append(error_budget_check(rep))
             checks4.append(error_budget_check(rep, beta=4.0))
         assert np.mean(checks2) >= 0.75
@@ -230,6 +231,6 @@ class TestErrorBudget:
 
     def test_beta_must_be_at_least_two(self):
         basis, apx, x = small_problem()
-        rep = podr_readout(x, basis, apx, 4000, seed=0)
+        rep = podr_readout(Target(x), basis, apx, 4000, seed=0)
         with pytest.raises(FieldError):
             error_budget_check(rep, beta=1.0)

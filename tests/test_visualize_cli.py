@@ -16,13 +16,7 @@ from podreadout.flow import (
     transient_pair,
     write_snapshot_file,
 )
-from podreadout.pipeline import (
-    FieldCache,
-    harmonized_shots,
-    run_offline,
-    target_fields,
-    unit_targets,
-)
+from podreadout.pipeline import harmonized_shots, problem_of, run_offline
 from podreadout.visualize import (
     emit_visual_comparison,
     stream_function,
@@ -75,9 +69,7 @@ def tiny_setup(tmp_path_factory):
         target_step=20, chi_cap=8, out_dir=str(out), seeds=(0,),
         shot_grid=(1000,),
     )
-    cache = FieldCache.for_config(cfg)
-    offline = run_offline(cfg, cache)
-    return cfg, cache, offline
+    return cfg, run_offline(cfg)
 
 
 class TestPanels:
@@ -85,16 +77,15 @@ class TestPanels:
     def test_emit_and_reread_bitwise(self, tiny_setup):
         from podreadout.pipeline import run_cell
 
-        cfg, cache, offline = tiny_setup
-        truth = target_fields(cfg, cache)
-        targets = unit_targets(truth)
+        cfg, offline = tiny_setup
+        targets = problem_of(cfg).targets()
         shots = harmonized_shots(1000, n_bs(offline))
         reports = {
             m: {c: run_cell(cfg, offline, targets[c], c, m, shots, 0)
                 for c in ("ux", "uy")}
             for m in cfg.methods
         }
-        written = emit_visual_comparison(cfg, reports, truth)
+        written = emit_visual_comparison(cfg, reports, targets)
         csvs = [p for p in written if p.endswith(".csv")]
         svgs = [p for p in written if p.endswith(".svg")]
         assert len(csvs) == len(svgs) == 4 * 3  # methods + truth, three panels
@@ -104,21 +95,20 @@ class TestPanels:
         # written CSV grids parse back bitwise
         truth_ux = next(p for p in csvs if p.endswith("truth_ux.csv"))
         back = read_snapshot_csv(truth_ux)
-        assert back.values.tobytes() == targets["ux"].tobytes()
+        assert back.values.tobytes() == targets["ux"].x.tobytes()
         for p in svgs:
             assert open(p).readline().startswith("<svg")
 
     def test_podr_psi_close_to_truth_at_converged_budget(self, tiny_setup):
         from podreadout.pipeline import run_cell
 
-        cfg, cache, offline = tiny_setup
-        truth = target_fields(cfg, cache)
-        targets = unit_targets(truth)
+        cfg, offline = tiny_setup
+        target = problem_of(cfg).targets()["ux"]
         shots = harmonized_shots(10**6, n_bs(offline))
-        rep = run_cell(cfg, offline, targets["ux"], "ux", "PODR", shots, 0)
+        rep = run_cell(cfg, offline, target, "ux", "PODR", shots, 0)
         psi_hat = stream_function(Field2D(cfg.nx, cfg.ny, rep.reconstruction)).grid()
-        psi_true = stream_function(Field2D(cfg.nx, cfg.ny, targets["ux"])).grid()
-        bound = 2.0 * rep.epsilon * np.abs(targets["ux"]).max() * 1.0
+        psi_true = stream_function(Field2D(cfg.nx, cfg.ny, target.x)).grid()
+        bound = 2.0 * rep.epsilon * np.abs(target.x).max() * 1.0
         assert np.abs(psi_hat - psi_true).max() <= max(bound, 1e-12)
 
 
