@@ -1,8 +1,8 @@
 """Command-line front end.
 
 Subcommands: solve, offline, readout, sweep, param-study, depth-study,
-visualize, ingest.  Exit codes: 0 success, 2 config or input-format error,
-3 numerical failure.
+visualize, ingest.  Exit codes: 0 success, 2 config or input-format error
+or a file that cannot be read or written, 3 numerical failure.
 """
 
 from __future__ import annotations
@@ -94,13 +94,10 @@ def _cmd_readout(args):
     shots = _check_shots(args.shots) if args.shots is not None else cfg.shot_grid[0]
     offline = pipeline.run_offline(cfg)
     targets = pipeline.problem_of(cfg).targets()
-    for comp in pipeline.COMPONENTS:
-        for method in cfg.methods:
-            rep = pipeline.run_cell(cfg, offline, targets[comp], comp, method, shots,
-                                    cfg.seeds[0])
-            label = visualize.METHOD_LABELS.get(method, method)
-            print(f"{label:16s} {comp}: epsilon={rep.epsilon:.4e} "
-                  f"(shots={rep.n_shot_total})")
+    for comp, method, _, _, rep in pipeline.readouts(cfg, offline, targets, (shots,),
+                                                     cfg.seeds[:1]):
+        label = visualize.METHOD_LABELS.get(method, method)
+        print(f"{label:16s} {comp}: epsilon={rep.epsilon:.4e} (shots={rep.n_shot_total})")
     return 0
 
 
@@ -143,14 +140,11 @@ def _cmd_visualize(args):
     if shots != requested:
         log.info("shared budget adjusted from %d to %d", requested, shots)
     targets = pipeline.problem_of(cfg).targets()
-    reports = {
-        method: {
-            comp: pipeline.run_cell(cfg, offline, targets[comp], comp, method, shots,
-                                    cfg.seeds[0])
-            for comp in pipeline.COMPONENTS
-        }
-        for method in cfg.methods
-    }
+    reports = {}
+    # a copy: readouts pops each target, and the truth panels read targets[c].x
+    for comp, method, _, _, rep in pipeline.readouts(cfg, offline, dict(targets), (shots,),
+                                                     cfg.seeds[:1]):
+        reports.setdefault(method, {})[comp] = rep
     written = visualize.emit_visual_comparison(cfg, reports, targets)
     print(f"wrote {len(written)} panel files under {cfg.out_dir}")
     return 0
@@ -159,13 +153,13 @@ def _cmd_visualize(args):
 def _cmd_ingest(args):
     inputs = args.inputs
     if len(inputs) == 1 and inputs[0].endswith(".pods") and not args.to:
-        fields = pipeline.read_input(flow.read_snapshot_file, inputs[0])
+        fields = flow.read_snapshot_file(inputs[0])
         print(f"{inputs[0]}: {len(fields)} snapshots on "
               f"{fields[0].nx}x{fields[0].ny}")
         return 0
     if not args.to:
         raise ConfigError("CSV ingestion needs --to OUTPUT.pods")
-    fields = [pipeline.read_input(flow.read_snapshot_csv, p) for p in inputs]
+    fields = [flow.read_snapshot_csv(p) for p in inputs]
     flow.write_snapshot_file(fields, args.to)
     print(f"wrote {len(fields)} snapshots to {args.to}")
     return 0
@@ -191,7 +185,7 @@ def main(argv=None) -> int:
     )
     try:
         return _COMMANDS[args.command](args)
-    except (ConfigError, SnapshotFormatError) as exc:
+    except (ConfigError, SnapshotFormatError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except NumericalError as exc:

@@ -340,6 +340,8 @@ def read_snapshot_file(path):
     version, count, nx, ny = struct.unpack("<IIII", data[4:20])
     if version != SNAPSHOT_VERSION:
         raise SnapshotFormatError(f"unsupported snapshot version {version}")
+    if count == 0:
+        raise SnapshotFormatError(f"{path} holds no snapshots")
     expected = 20 + count * nx * ny * 8
     if len(data) != expected:
         raise SnapshotFormatError(

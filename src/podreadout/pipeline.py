@@ -1,18 +1,20 @@
 """End-to-end orchestration: offline artifacts, shot sweeps and the two studies.
 
 problem_of is the one place that looks at the problem kind: every stage
-reads the Problem it returns, and Problem.targets prepares the held-out
-pair for readout.  Cavity fields come through a FieldCache, by default the
-config's own store (<out_dir>/fields); transient pairs are analytic and
-computed on each call.
+reads the Problem it returns, and Problem.targets(param) prepares one
+readout.Target per component, by default of the held-out pair.  Cavity
+fields come through a FieldCache, by default the config's own store
+(<out_dir>/fields); transient pairs are analytic and computed on each call.
 
 pod_bases builds and factors both components' snapshot matrices; only then
 does offline_component, the one offline stage (basis count, bond search),
 run on each component's basis.  run_offline persists its results,
 run_depth_study repeats it across grid sizes and run_param_study reads the
-same bases.
+same bases.  readouts is the one loop over readout cells (component, method,
+budget, seed): the sweep, `podr readout` and `podr visualize` all use it.
 
-All CSV output is deterministic for a given config: fixed row order, fixed
+Every CSV is written by write_csv from dict rows, the same rows the stages
+return.  The output is deterministic for a given config: fixed row order,
 17-significant-digit float formatting, randomness derived only from the
 config's seeds and the cell coordinates.  No stage reads a clock yet, so
 timing is not recorded; the wall_ms column exists for schema compatibility
@@ -60,8 +62,20 @@ def fmt(x: float) -> str:
     return f"{x:.17g}"
 
 
+def _csv_cell(value) -> str:
+    if isinstance(value, bool):
+        return str(int(value))
+    if isinstance(value, float):
+        return fmt(value)
+    return "" if value is None else str(value)
+
+
 def write_csv(path, header: str, rows) -> None:
-    atomic_write_text(path, "\n".join([header, *rows]) + "\n")
+    """header, then one line per dict row holding the header's columns: floats
+    through fmt, bools as 0/1, None as an empty cell, anything else as str."""
+    cols = header.split(",")
+    lines = [",".join(_csv_cell(row[c]) for c in cols) for row in rows]
+    atomic_write_text(path, "\n".join([header, *lines]) + "\n")
 
 
 def _definition(fn, lines) -> str:
@@ -147,20 +161,6 @@ class FieldCache:
         return flow.cavity_velocities(psi, lid_speed)
 
 
-def read_input(read, path):
-    """read(path) for a file the user named; a missing or unreadable one is a
-    ConfigError that names the path."""
-    try:
-        return read(path)
-    except OSError as exc:
-        raise ConfigError(f"cannot read {path}: {exc.strerror or exc}") from exc
-
-
-def _read_ingested(cfg, read):
-    """read() applied to the ux and uy snapshot files of an ingested config."""
-    return read_input(read, cfg.snapshot_ux), read_input(read, cfg.snapshot_uy)
-
-
 def unit_vector(field: flow.Field2D) -> np.ndarray:
     nrm = np.linalg.norm(field.values)
     if nrm == 0.0:
@@ -187,19 +187,20 @@ class Problem:
         pairs = [self.pair(p) for p in self.labels]
         return [p[0] for p in pairs], [p[1] for p in pairs], self.labels
 
-    def targets(self) -> dict:
-        """{"ux": ..., "uy": ...} readout.Target of the held-out pair's unit vectors."""
-        return {comp: readout.Target(unit_vector(f))
-                for comp, f in zip(COMPONENTS, self.pair(self.target))}
+    def targets(self, param=None) -> dict:
+        """{"ux": ..., "uy": ...} readout.Target of param's pair's unit vectors,
+        by default the held-out target's."""
+        pair = self.pair(self.target if param is None else param)
+        return {comp: readout.Target(unit_vector(f)) for comp, f in zip(COMPONENTS, pair)}
 
 
 def problem_of(cfg: ExperimentConfig, cache: FieldCache | None = None) -> Problem:
     """The Problem a config describes; ingested snapshot files are read here.
     Cavity fields come from cache, by default the config's own <out_dir>/fields."""
     if cfg.problem == "ingested":
-        ux_all, uy_all = _read_ingested(cfg, flow.read_snapshot_file)
+        ux_all, uy_all = map(flow.read_snapshot_file, (cfg.snapshot_ux, cfg.snapshot_uy))
         for path, fields in ((cfg.snapshot_ux, ux_all), (cfg.snapshot_uy, uy_all)):
-            if fields and (fields[0].nx, fields[0].ny) != (cfg.nx, cfg.ny):
+            if (fields[0].nx, fields[0].ny) != (cfg.nx, cfg.ny):
                 raise ConfigError(
                     f"{path} holds {fields[0].nx}x{fields[0].ny} snapshots, "
                     f"but the config grid is {cfg.nx}x{cfg.ny}"
@@ -304,7 +305,7 @@ def _snapshot_digests(cfg):
     """
     if cfg.problem != "ingested":
         return None
-    return dict(zip(COMPONENTS, _read_ingested(cfg, sha256_file)))
+    return {"ux": sha256_file(cfg.snapshot_ux), "uy": sha256_file(cfg.snapshot_uy)}
 
 
 def _try_reuse(cfg, digests, manifest_path):
@@ -431,61 +432,52 @@ def run_cell(cfg, offline, target, comp, method, n_shot, seed):
     return readout.fsr_readout(target, n_shot, cfg.fsr_cutoff, cell)
 
 
+def readouts(cfg, offline, targets, budgets, seeds):
+    """Yield (comp, method, n_shot, seed, report) for every readout cell: per
+    component, product(cfg.methods, budgets, seeds).
+
+    Each component's readout.Target is popped from targets before its cells
+    and dropped after them.  No report is bound here, so a caller that drops
+    each report frees its 2^n-entry arrays before the next cell runs.
+    """
+    for comp in COMPONENTS:
+        target = targets.pop(comp)
+        for method, n_shot, seed in itertools.product(cfg.methods, budgets, seeds):
+            yield (comp, method, n_shot, seed,
+                   run_cell(cfg, offline, target, comp, method, n_shot, seed))
+
+
 def run_shot_sweep(cfg: ExperimentConfig, offline: OfflineResult,
                    cache: FieldCache | None = None):
     """Full factorial (method x shot budget x seed x component) readout sweep.
 
     Writes sweep.csv (one row per cell) and sweep_medians.csv (per-method
-    median curves) into cfg.out_dir; returns the raw rows as dicts.  Each
-    component's target is prepared once, for all of its cells, and dropped
-    before the next component's.
+    median curves) into cfg.out_dir; returns the sweep rows as dicts of
+    scalars.
     """
     targets = problem_of(cfg, cache).targets()
     h = config_hash(cfg)
-
-    lines, rows, eps = [], [], {}
-    for comp in COMPONENTS:
-        target = targets.pop(comp)
-        for method, n_shot, seed in itertools.product(cfg.methods, cfg.shot_grid, cfg.seeds):
-            # a report holds 2^n-entry arrays: keep only the scalars of its
-            # row, and free it before the next cell allocates its own
-            rep = run_cell(cfg, offline, target, comp, method, n_shot, seed)
-            if rep.budget is not None:
-                e_proj, e_enc, e_sam = (
-                    fmt(rep.budget.e_proj), fmt(rep.budget.e_enc),
-                    fmt(rep.budget.e_sam_bound),
-                )
-            else:
-                e_proj = e_enc = e_sam = ""
-            kept = str(rep.kept_modes) if rep.kept_modes is not None else ""
-            n_b = str(rep.n_b) if rep.n_b is not None else "0"
-            lines.append(
-                f"{h},{method},{comp},{cfg.grid_points},{rep.n_shot_total},{n_b},"
-                f"{seed},{fmt(rep.epsilon)},{e_proj},{e_enc},{e_sam},{kept},0"
-            )
-            rows.append({
-                "method": method,
-                "component": comp,
-                "n_shot_requested": n_shot,
-                "n_shot_total": rep.n_shot_total,
-                "seed": seed,
-                "epsilon": rep.epsilon,
-            })
-            eps.setdefault((comp, method, n_shot), []).append(rep.epsilon)
-            del rep
+    rows, eps = [], {}
+    for comp, method, n_shot, seed, rep in readouts(cfg, offline, targets,
+                                                    cfg.shot_grid, cfg.seeds):
+        b = rep.budget
+        rows.append({
+            "config_hash": h, "method": method, "component": comp, "N": cfg.grid_points,
+            "n_shot_requested": n_shot, "n_shot_total": rep.n_shot_total,
+            "n_b": rep.n_b or 0, "seed": seed, "epsilon": rep.epsilon,
+            "e_proj": b and b.e_proj, "e_enc": b and b.e_enc,
+            "e_sam_bound": b and b.e_sam_bound, "kept_modes": rep.kept_modes, "wall_ms": 0,
+        })
+        eps.setdefault((comp, method, n_shot), []).append(rep.epsilon)
+        del rep  # free its 2^n-entry arrays before the next cell allocates its own
+    medians = [
+        {"config_hash": h, "method": method, "component": comp, "n_shot_total": n_shot,
+         "median_epsilon": float(np.median(eps[comp, method, n_shot]))}
+        for comp in COMPONENTS for method in cfg.methods for n_shot in cfg.shot_grid
+    ]
     os.makedirs(cfg.out_dir, exist_ok=True)
-    write_csv(os.path.join(cfg.out_dir, "sweep.csv"), SWEEP_HEADER, lines)
-    write_csv(
-        os.path.join(cfg.out_dir, "sweep_medians.csv"),
-        MEDIAN_HEADER,
-        [
-            f"{h},{method},{comp},{n_shot},"
-            f"{fmt(float(np.median(eps[comp, method, n_shot])))}"
-            for comp in COMPONENTS
-            for method in cfg.methods
-            for n_shot in cfg.shot_grid
-        ],
-    )
+    write_csv(os.path.join(cfg.out_dir, "sweep.csv"), SWEEP_HEADER, rows)
+    write_csv(os.path.join(cfg.out_dir, "sweep_medians.csv"), MEDIAN_HEADER, medians)
     return rows
 
 
@@ -498,46 +490,29 @@ def run_param_study(cfg: ExperimentConfig, cache: FieldCache | None = None):
         )
     bases = pod_bases(prob)
     h = config_hash(cfg)
-
-    rows = []
-    lines = []
     nbs = {
-        comp: {
-            case: pod.select_nb(basis.sigma, basis.m, thr[0])
-            for case, thr in CASE_THRESHOLDS.items()
-        }
+        comp: {case: pod.select_nb(basis.sigma, basis.m, thr[0])
+               for case, thr in CASE_THRESHOLDS.items()}
         for comp, basis in bases.items()
     }
+    rows = []
     for param in prob.axis:
-        fx, fy = prob.pair(param)
-        in_ensemble = param in prob.labels
-        for comp, f in (("ux", fx), ("uy", fy)):
-            x = unit_vector(f)
-            basis = bases[comp]
-            e1 = pod.exact_projection_error(x, basis, nbs[comp]["case1"])
-            e2 = pod.exact_projection_error(x, basis, nbs[comp]["case2"])
-            rows.append(
-                {
-                    "component": comp,
-                    "parameter": param,
-                    "in_ensemble": in_ensemble,
-                    "n_b_case1": nbs[comp]["case1"],
-                    "e_proj_case1": e1,
-                    "n_b_case2": nbs[comp]["case2"],
-                    "e_proj_case2": e2,
-                }
-            )
-            lines.append(
-                f"{h},{comp},{fmt(float(param))},{int(in_ensemble)},"
-                f"{nbs[comp]['case1']},{fmt(e1)},{nbs[comp]['case2']},{fmt(e2)}"
-            )
+        for comp, target in prob.targets(param).items():
+            row = {"config_hash": h, "component": comp, "parameter": float(param),
+                   "in_ensemble": param in prob.labels}
+            for case, n_b in nbs[comp].items():
+                row[f"n_b_{case}"] = n_b
+                row[f"e_proj_{case}"] = pod.exact_projection_error(target.x, bases[comp], n_b)
+            rows.append(row)
     os.makedirs(cfg.out_dir, exist_ok=True)
-    write_csv(os.path.join(cfg.out_dir, "param_study.csv"), PARAM_HEADER, lines)
+    write_csv(os.path.join(cfg.out_dir, "param_study.csv"), PARAM_HEADER, rows)
     return rows
 
 
 def _depth_study_sides(sizes):
     """Grid side of each total size: a power of two, at least 16, squared."""
+    if not sizes:
+        raise ConfigError("depth-study needs at least one grid size, got none")
     sides = []
     for size in sizes:
         side = math.isqrt(size) if isinstance(size, int) and size > 0 else 0
@@ -593,13 +568,5 @@ def run_depth_study(cfg: ExperimentConfig, cache: FieldCache | None = None,
         except NumericalError as exc:
             raise NumericalError(f"grid size {size}: {exc}") from exc
     os.makedirs(cfg.out_dir, exist_ok=True)
-    write_csv(
-        os.path.join(cfg.out_dir, "depth_study.csv"),
-        DEPTH_HEADER,
-        [
-            f"{r['N']},{r['component']},{r['n_b']},{r['chi_list']},"
-            f"{r['two_qubit_gates']},{r['depth']}"
-            for r in rows
-        ],
-    )
+    write_csv(os.path.join(cfg.out_dir, "depth_study.csv"), DEPTH_HEADER, rows)
     return rows

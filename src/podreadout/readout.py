@@ -49,13 +49,10 @@ class ErrorBudget:
 
 @dataclass(frozen=True)
 class ReadoutReport:
-    method: str
     n_shot_total: int
     estimated_coefficients: np.ndarray
     reconstruction: np.ndarray
     epsilon: float
-    seed: int
-    analytic: bool
     budget: ErrorBudget | None = None
     kept_modes: int | None = None
     n_b: int | None = None
@@ -169,13 +166,10 @@ def podr_readout(
         beta=beta,
     )
     return ReadoutReport(
-        method="PODR",
         n_shot_total=n_shot_total,
         estimated_coefficients=coeffs,
         reconstruction=recon,
         epsilon=epsilon,
-        seed=seed,
-        analytic=analytic,
         budget=budget,
         n_b=n_b,
     )
@@ -205,13 +199,10 @@ def rsr_readout(
     signs = np.where(x < 0.0, -1.0, 1.0) if sign_oracle else np.ones_like(x)
     recon = signs * mags
     return ReadoutReport(
-        method="RSR",
         n_shot_total=n_shot_total,
         estimated_coefficients=recon,
         reconstruction=recon,
         epsilon=float(np.linalg.norm(x - recon)),
-        seed=seed,
-        analytic=analytic,
     )
 
 
@@ -246,13 +237,10 @@ def fsr_readout(
     kept_spectrum[keep] = np.sqrt(q_hat[keep]) * phases[keep]
     recon = np.real(np.fft.ifft(kept_spectrum) * math.sqrt(n_pts))
     return ReadoutReport(
-        method="FSR",
         n_shot_total=n_shot_total,
         estimated_coefficients=kept_spectrum,
         reconstruction=recon,
         epsilon=float(np.linalg.norm(x - recon)),
-        seed=seed,
-        analytic=analytic,
         kept_modes=int(keep.sum()),
     )
 

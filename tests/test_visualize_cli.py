@@ -1,5 +1,6 @@
 import json
 import os
+import struct
 import subprocess
 import sys
 
@@ -10,6 +11,8 @@ import podreadout
 from podreadout.cli import main
 from podreadout.config import ExperimentConfig
 from podreadout.flow import (
+    SNAPSHOT_MAGIC,
+    SNAPSHOT_VERSION,
     Field2D,
     read_snapshot_csv,
     read_snapshot_file,
@@ -214,10 +217,11 @@ class TestCli:
                      "--sizes", "256,1024"]) == 0
         assert os.path.exists(tmp_path / "out" / "depth_study.csv")
 
-    @pytest.mark.parametrize("sizes", ["512", "abc"])
+    @pytest.mark.parametrize("sizes", ["512", "abc", None])
     def test_depth_study_bad_sizes_exit_code(self, tmp_path, capsys, sizes):
-        cfg_path = write_config(tmp_path)
-        argv = ["--config", str(cfg_path), "depth-study", "--sizes", sizes]
+        # None: no --sizes, and the config's grid_sizes is empty
+        cfg_path = write_config(tmp_path, **({} if sizes else {"grid_sizes": []}))
+        argv = ["--config", str(cfg_path), "depth-study", *(["--sizes", sizes] if sizes else [])]
         assert_config_error(tmp_path, capsys, argv)
 
     def test_scalar_list_key_exit_code(self, tmp_path, capsys):
@@ -351,6 +355,35 @@ def test_ingest_missing_file_exits_2_naming_it(tmp_path, capsys, name):
     assert main(argv) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and str(missing) in err
+
+
+def test_ingest_into_a_missing_directory_exits_2_naming_it(tmp_path, capsys):
+    ux, _ = transient_pair(0, 8, 16, 8, seed=2)
+    write_grid_csv(ux, tmp_path / "a.csv")
+    missing = tmp_path / "missing_dir"
+    assert main(["ingest", str(tmp_path / "a.csv"), "--to", str(missing / "x.pods")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and str(missing) in err
+    assert not missing.exists()
+
+
+def test_out_under_a_regular_file_exits_2_naming_it(tmp_path, capsys):
+    cfg_path = write_config(tmp_path)
+    blocker = tmp_path / "some.csv"
+    blocker.write_text("not a directory\n")
+    out = blocker / "out"
+    assert main(["--config", str(cfg_path), "--out", str(out), "offline"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and str(out) in err
+    assert blocker.read_text() == "not a directory\n"
+
+
+def test_ingest_of_an_empty_snapshot_file_exits_2_naming_it(tmp_path, capsys):
+    empty = tmp_path / "empty.pods"
+    empty.write_bytes(SNAPSHOT_MAGIC + struct.pack("<IIII", SNAPSHOT_VERSION, 0, 32, 32))
+    assert main(["ingest", str(empty)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and str(empty) in err and "no snapshots" in err
 
 
 NO_SCIPY_SCRIPT = """
