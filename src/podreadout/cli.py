@@ -62,8 +62,7 @@ def _check_shots(shots):
     return shots
 
 
-def _cmd_solve(args):
-    cfg = _load(args)
+def _cmd_solve(cfg, args):
     prob = pipeline.problem_of(cfg)
     ux, uy, labels = prob.ensemble()
     tx, ty = prob.pair(prob.target)
@@ -77,8 +76,7 @@ def _cmd_solve(args):
     return 0
 
 
-def _cmd_offline(args):
-    cfg = _load(args)
+def _cmd_offline(cfg, args):
     result = pipeline.run_offline(cfg)
     for comp, art in result.components.items():
         print(
@@ -89,8 +87,7 @@ def _cmd_offline(args):
     return 0
 
 
-def _cmd_readout(args):
-    cfg = _load(args)
+def _cmd_readout(cfg, args):
     shots = _check_shots(args.shots) if args.shots is not None else cfg.shot_grid[0]
     offline = pipeline.run_offline(cfg)
     targets = pipeline.problem_of(cfg).targets()
@@ -101,23 +98,20 @@ def _cmd_readout(args):
     return 0
 
 
-def _cmd_sweep(args):
-    cfg = _load(args)
+def _cmd_sweep(cfg, args):
     offline = pipeline.run_offline(cfg)
     rows = pipeline.run_shot_sweep(cfg, offline)
     print(f"{len(rows)} sweep cells -> {os.path.join(cfg.out_dir, 'sweep.csv')}")
     return 0
 
 
-def _cmd_param_study(args):
-    cfg = _load(args)
+def _cmd_param_study(cfg, args):
     rows = pipeline.run_param_study(cfg)
     print(f"{len(rows)} rows -> {os.path.join(cfg.out_dir, 'param_study.csv')}")
     return 0
 
 
-def _cmd_depth_study(args):
-    cfg = _load(args)
+def _cmd_depth_study(cfg, args):
     sizes = None
     if args.sizes:
         try:
@@ -130,8 +124,7 @@ def _cmd_depth_study(args):
     return 0
 
 
-def _cmd_visualize(args):
-    cfg = _load(args)
+def _cmd_visualize(cfg, args):
     requested = _check_shots(args.shots)
     offline = pipeline.run_offline(cfg)
     shots = pipeline.harmonized_shots(
@@ -173,7 +166,6 @@ _COMMANDS = {
     "param-study": _cmd_param_study,
     "depth-study": _cmd_depth_study,
     "visualize": _cmd_visualize,
-    "ingest": _cmd_ingest,
 }
 
 
@@ -184,7 +176,9 @@ def main(argv=None) -> int:
         format="%(levelname)s %(message)s",
     )
     try:
-        return _COMMANDS[args.command](args)
+        if args.command == "ingest":
+            return _cmd_ingest(args)
+        return _COMMANDS[args.command](_load(args), args)
     except (ConfigError, SnapshotFormatError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -109,6 +109,7 @@ _CHECKS = {
     "lid_speed": (lambda v: _is_number(v) and v != 0, "a nonzero number"),
     "fsr_cutoff": (lambda v: _is_number(v) and 0.0 < v < 1.0, "a number in (0, 1)"),
     "sign_oracle": (lambda v: isinstance(v, bool), "true or false"),
+    "param_sweep": (lambda v: v is None or bool(v), "a nonempty list"),
 }
 _TRANSIENT_CHECKS = {
     "window": (lambda w: _ints(w) and len(w) == 2 and w[0] <= w[1],
@@ -154,6 +155,10 @@ def validate_config(cfg: ExperimentConfig) -> ExperimentConfig:
     if not (_is_pow2(cfg.nx) and _is_pow2(cfg.ny)) or cfg.nx < 16 or cfg.ny < 16:
         raise ConfigError(f"grid {cfg.nx}x{cfg.ny} must be powers of two, at least 16")
     _check(cfg, _CHECKS)
+    max_bond = 2 ** ((cfg.grid_points.bit_length() - 1) // 2)
+    if cfg.chi_cap > max_bond:
+        raise ConfigError(f"chi_cap {cfg.chi_cap} exceeds {max_bond}, the maximal cut "
+                          f"bond of a {cfg.nx}x{cfg.ny} grid")
 
     if cfg.problem == "cavity":
         if not cfg.reynolds:

@@ -8,10 +8,14 @@ import tempfile
 
 
 def atomic_write_bytes(path, data: bytes) -> None:
-    """Write via a temp file in the same directory, then rename into place."""
+    """Write via a temp file in the same directory, then rename into place;
+    a temp file that cannot be created is reported under path."""
     path = str(path)
     d = os.path.dirname(path) or "."
-    fd, tmp = tempfile.mkstemp(dir=d, prefix=".tmp-", suffix=".part")
+    try:
+        fd, tmp = tempfile.mkstemp(dir=d, prefix=".tmp-", suffix=".part")
+    except OSError as exc:
+        raise OSError(exc.errno, exc.strerror, path) from exc
     try:
         with os.fdopen(fd, "wb") as fh:
             fh.write(data)

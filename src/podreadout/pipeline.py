@@ -12,6 +12,8 @@ run on each component's basis.  run_offline persists its results,
 run_depth_study repeats it across grid sizes and run_param_study reads the
 same bases.  readouts is the one loop over readout cells (component, method,
 budget, seed): the sweep, `podr readout` and `podr visualize` all use it.
+harmonized_shots is the one rule that fits a shot budget to basis counts:
+to a PODR cell's n_b in run_cell, to both components' in `podr visualize`.
 
 Every CSV is written by write_csv from dict rows, the same rows the stages
 return.  The output is deterministic for a given config: fixed row order,
@@ -38,7 +40,7 @@ from pathlib import Path
 import numpy as np
 
 from . import circuit, flow, mps, pod, readout
-from .config import CASE_THRESHOLDS, METHODS, ExperimentConfig, config_hash
+from .config import CASE_THRESHOLDS, METHODS, ExperimentConfig, config_hash, validate_config
 from .errors import ConfigError, FieldError, NumericalError, SnapshotFormatError
 from .io_util import atomic_write_text, sha256_file
 
@@ -288,7 +290,6 @@ def offline_component(basis, thresholds, chi_cap) -> OfflineComponent:
 @dataclass
 class OfflineResult:
     components: dict
-    manifest: dict
     reused: bool
 
 
@@ -338,7 +339,7 @@ def _try_reuse(cfg, digests, manifest_path):
             return None
         components[comp] = OfflineComponent(
             pod.load_basis(paths[0]), plan, [mps.load_mps(p) for p in paths[1:]], e_proj_est)
-    return OfflineResult(components=components, manifest=manifest, reused=True)
+    return OfflineResult(components=components, reused=True)
 
 
 def run_offline(cfg: ExperimentConfig, cache: FieldCache | None = None) -> OfflineResult:
@@ -389,7 +390,7 @@ def run_offline(cfg: ExperimentConfig, cache: FieldCache | None = None) -> Offli
     atomic_write_text(
         manifest_path, json.dumps(manifest, indent=2, sort_keys=True) + "\n"
     )
-    return OfflineResult(components=components, manifest=manifest, reused=False)
+    return OfflineResult(components=components, reused=False)
 
 
 def _cell_seed(seed: int, comp_idx: int, method_idx: int, n_shot: int) -> int:
@@ -397,36 +398,24 @@ def _cell_seed(seed: int, comp_idx: int, method_idx: int, n_shot: int) -> int:
     return int(ss.generate_state(1)[0])
 
 
-def podr_shots(n_shot: int, n_b: int) -> int:
-    """Round a budget down to the nearest positive multiple of n_b."""
-    down = (n_shot // n_b) * n_b
-    return down if down >= n_b else n_b
-
-
 def harmonized_shots(requested: int, n_bs) -> int:
-    """Largest shared budget <= requested divisible by every basis count."""
-    l = 1
-    for nb in n_bs:
-        l = math.lcm(l, int(nb))
+    """Largest shared budget <= requested divisible by every basis count, or
+    their least common multiple when requested is below it."""
+    l = math.lcm(*map(int, n_bs))
     return max((requested // l) * l, l)
 
 
 def run_cell(cfg, offline, target, comp, method, n_shot, seed):
     """One readout of component comp's target, a readout.Target."""
-    comp_idx = COMPONENTS.index(comp)
-    method_idx = METHODS.index(method)
-    cell = _cell_seed(seed, comp_idx, method_idx, n_shot)
+    cell = _cell_seed(seed, COMPONENTS.index(comp), METHODS.index(method), n_shot)
     art = offline.components[comp]
     if method == "PODR":
-        shots = podr_shots(n_shot, art.basis.n_b)
+        shots = harmonized_shots(n_shot, [art.basis.n_b])
         if shots != n_shot:
-            log.info(
-                "PODR budget %d rounded down to %d (n_b=%d, %s)",
-                n_shot, shots, art.basis.n_b, comp,
-            )
-        return readout.podr_readout(
-            target, art.basis, art.approximants, shots, cell, beta=cfg.beta
-        )
+            log.info("PODR budget %d rounded down to %d (n_b=%d, %s)",
+                     n_shot, shots, art.basis.n_b, comp)
+        return readout.podr_readout(target, art.basis, art.approximants, shots, cell,
+                                    beta=cfg.beta)
     if method == "RSR":
         return readout.rsr_readout(target, n_shot, cell, sign_oracle=cfg.sign_oracle)
     return readout.fsr_readout(target, n_shot, cfg.fsr_cutoff, cell)
@@ -460,13 +449,12 @@ def run_shot_sweep(cfg: ExperimentConfig, offline: OfflineResult,
     rows, eps = [], {}
     for comp, method, n_shot, seed, rep in readouts(cfg, offline, targets,
                                                     cfg.shot_grid, cfg.seeds):
-        b = rep.budget
         rows.append({
             "config_hash": h, "method": method, "component": comp, "N": cfg.grid_points,
             "n_shot_requested": n_shot, "n_shot_total": rep.n_shot_total,
-            "n_b": rep.n_b or 0, "seed": seed, "epsilon": rep.epsilon,
-            "e_proj": b and b.e_proj, "e_enc": b and b.e_enc,
-            "e_sam_bound": b and b.e_sam_bound, "kept_modes": rep.kept_modes, "wall_ms": 0,
+            "n_b": rep.n_b or 0, "seed": seed, "epsilon": rep.epsilon, "e_proj": rep.e_proj,
+            "e_enc": rep.e_enc, "e_sam_bound": rep.e_sam_bound, "kept_modes": rep.kept_modes,
+            "wall_ms": 0,
         })
         eps.setdefault((comp, method, n_shot), []).append(rep.epsilon)
         del rep  # free its 2^n-entry arrays before the next cell allocates its own
@@ -542,29 +530,22 @@ def run_depth_study(cfg: ExperimentConfig, cache: FieldCache | None = None,
             "ingested snapshots exist at one grid only"
         )
     sizes = tuple(grid_sizes) if grid_sizes is not None else cfg.grid_sizes
-    sides = _depth_study_sides(sizes)
+    # each grid's config is checked (chi_cap against its cut bonds) before any solve
+    grids = [validate_config(replace(cfg, nx=side, ny=side))
+             for side in _depth_study_sides(sizes)]
     rows = []
-    for size, side in zip(sizes, sides):
+    for size, grid in zip(sizes, grids):
         try:
-            bases = pod_bases(problem_of(replace(cfg, nx=side, ny=side), cache))
+            bases = pod_bases(problem_of(grid, cache))
             for comp in COMPONENTS:
-                art = offline_component(
-                    bases[comp], CASE_THRESHOLDS["case2"], cfg.chi_cap
-                )
-                cost = max(
-                    (circuit.circuit_cost(m) for m in art.approximants),
-                    key=lambda c: c.depth,
-                )
-                rows.append(
-                    {
-                        "N": size,
-                        "component": comp,
-                        "n_b": art.basis.n_b,
-                        "chi_list": ";".join(str(c) for c in art.plan.chis),
-                        "two_qubit_gates": cost.two_qubit_gate_count,
-                        "depth": cost.depth,
-                    }
-                )
+                art = offline_component(bases[comp], CASE_THRESHOLDS["case2"], cfg.chi_cap)
+                cost = max((circuit.circuit_cost(m) for m in art.approximants),
+                           key=lambda c: c.depth)
+                rows.append({
+                    "N": size, "component": comp, "n_b": art.basis.n_b,
+                    "chi_list": ";".join(str(c) for c in art.plan.chis),
+                    "two_qubit_gates": cost.two_qubit_gate_count, "depth": cost.depth,
+                })
         except NumericalError as exc:
             raise NumericalError(f"grid size {size}: {exc}") from exc
     os.makedirs(cfg.out_dir, exist_ok=True)

@@ -11,9 +11,10 @@ Three protocols over the same unit vector x:
   from the exact spectrum.
 
 Every sampler is deterministic given its integer seed; the per-basis
-streams inside PODR split off the seed by basis index.  An analytic mode
-replaces sampled quantities with their expectations so the shot-noise term
-can be isolated in tests.
+streams inside PODR split off the seed by basis index, and RSR and FSR share
+one frequency sampler.  An analytic mode replaces sampled quantities with
+their expectations so the shot-noise term can be isolated in tests.  A PODR
+report carries the terms of its error budget E_proj + E_enc + E_sam.
 
 Each protocol takes x as a Target.  A Target checks x's norm once and
 computes what does not depend on the shots or the seed on first use, then
@@ -40,29 +41,19 @@ _NORM_TOL = 1e-8
 
 
 @dataclass(frozen=True)
-class ErrorBudget:
-    e_proj: float
-    e_enc: float
-    e_sam_bound: float
-    beta: float
-
-
-@dataclass(frozen=True)
 class ReadoutReport:
+    """One readout.  A PODR report also carries n_b and its error budget's
+    terms (exact E_proj and E_enc, the sampling bound); RSR and FSR leave them None."""
+
     n_shot_total: int
     estimated_coefficients: np.ndarray
     reconstruction: np.ndarray
     epsilon: float
-    budget: ErrorBudget | None = None
     kept_modes: int | None = None
     n_b: int | None = None
-
-
-def _check_unit(x, name: str) -> np.ndarray:
-    x = np.asarray(x, dtype=np.float64)
-    if abs(np.linalg.norm(x) - 1.0) > _NORM_TOL:
-        raise FieldError(f"{name} deviates from unit norm by more than {_NORM_TOL:g}")
-    return x
+    e_proj: float | None = None
+    e_enc: float | None = None
+    e_sam_bound: float | None = None
 
 
 class Target:
@@ -73,7 +64,10 @@ class Target:
     """
 
     def __init__(self, x):
-        self.x = _check_unit(x, "x")
+        x = np.asarray(x, dtype=np.float64)
+        if abs(np.linalg.norm(x) - 1.0) > _NORM_TOL:
+            raise FieldError(f"x deviates from unit norm by more than {_NORM_TOL:g}")
+        self.x = x
         self._podr = None  # (basis, approximants, overlaps, e_proj, e_enc)
 
     def podr_terms(self, basis: PodBasisSet, approximants):
@@ -123,6 +117,20 @@ def sample_coefficient(p0: float, n_shot_basis: int, rng_seed) -> float:
     return coefficient_from_counts(z0, n_shot_basis)
 
 
+def _sampling_bound(beta: float, n_b: int, n_shot_total: int) -> float:
+    """PODR's Chebyshev-style sampling term beta * sqrt(n_b / shots_per_basis)."""
+    return beta * math.sqrt(n_b / (n_shot_total // n_b))
+
+
+def _frequencies(p: np.ndarray, n_shot_total: int, seed: int, analytic: bool) -> np.ndarray:
+    """Frequencies of n_shot_total draws from p, or p itself in analytic mode."""
+    if analytic:
+        return p
+    if n_shot_total < 1:
+        raise FieldError("need at least one shot")
+    return np.random.default_rng([seed]).multinomial(n_shot_total, p) / n_shot_total
+
+
 def podr_readout(
     target: Target,
     basis: PodBasisSet,
@@ -134,18 +142,15 @@ def podr_readout(
 ) -> ReadoutReport:
     """Estimate the first n_b coefficients and rebuild with the exact bases.
 
-    The shot budget must divide evenly across the bases.  The report's
-    budget carries the exact projection and encoding errors of this x plus
-    the Chebyshev-style sampling bound beta * sqrt(n_b / shots_per_basis).
+    The shot budget must divide evenly across the bases.  The report
+    carries the exact projection and encoding errors of this x and the
+    sampling bound beta * sqrt(n_b / shots_per_basis).
     """
-    x = target.x
     n_b = basis.n_b
     if len(approximants) != n_b:
         raise FieldError(f"{len(approximants)} approximants for n_b={n_b}")
     if n_shot_total % n_b != 0:
-        raise FieldError(
-            f"shot budget {n_shot_total} is not divisible by n_b={n_b}"
-        )
+        raise FieldError(f"shot budget {n_shot_total} is not divisible by n_b={n_b}")
     n_shot_basis = n_shot_total // n_b
 
     overlaps, e_proj, e_enc = target.podr_terms(basis, approximants)
@@ -158,20 +163,15 @@ def podr_readout(
         )
 
     recon = basis.u[:, :n_b] @ coeffs
-    epsilon = float(np.linalg.norm(x - recon))
-    budget = ErrorBudget(
-        e_proj=e_proj,
-        e_enc=e_enc,
-        e_sam_bound=beta * math.sqrt(n_b / n_shot_basis),
-        beta=beta,
-    )
     return ReadoutReport(
         n_shot_total=n_shot_total,
         estimated_coefficients=coeffs,
         reconstruction=recon,
-        epsilon=epsilon,
-        budget=budget,
+        epsilon=float(np.linalg.norm(target.x - recon)),
         n_b=n_b,
+        e_proj=e_proj,
+        e_enc=e_enc,
+        e_sam_bound=_sampling_bound(beta, n_b, n_shot_total),
     )
 
 
@@ -187,15 +187,8 @@ def rsr_readout(
     Z-basis sampling cannot see signs, so by default they come from the true
     state, which makes this baseline optimistic.
     """
-    x, p = target.x, target.probabilities
-    if analytic:
-        freq = p
-    else:
-        if n_shot_total < 1:
-            raise FieldError("need at least one shot")
-        rng = np.random.default_rng([seed])
-        freq = rng.multinomial(n_shot_total, p) / n_shot_total
-    mags = np.sqrt(freq)
+    x = target.x
+    mags = np.sqrt(_frequencies(target.probabilities, n_shot_total, seed, analytic))
     signs = np.where(x < 0.0, -1.0, 1.0) if sign_oracle else np.ones_like(x)
     recon = signs * mags
     return ReadoutReport(
@@ -225,13 +218,7 @@ def fsr_readout(
         raise FieldError(f"cutoff {cutoff} outside (0, 1)")
     n_pts = x.size
     q, phases = target.spectrum
-    if analytic:
-        q_hat = q
-    else:
-        if n_shot_total < 1:
-            raise FieldError("need at least one shot")
-        rng = np.random.default_rng([seed])
-        q_hat = rng.multinomial(n_shot_total, q) / n_shot_total
+    q_hat = _frequencies(q, n_shot_total, seed, analytic)
     keep = q_hat > cutoff
     kept_spectrum = np.zeros(n_pts, dtype=np.complex128)
     kept_spectrum[keep] = np.sqrt(q_hat[keep]) * phases[keep]
@@ -246,15 +233,14 @@ def fsr_readout(
 
 
 def error_budget_check(report: ReadoutReport, beta: float | None = None) -> bool:
-    """Does measured epsilon respect e_proj + e_enc + beta*sqrt(n_b/shots)?"""
-    if report.budget is None or report.n_b is None:
+    """Does measured epsilon respect e_proj + e_enc + the sampling bound, at
+    beta when given, else the report's own e_sam_bound?"""
+    if report.n_b is None:
         raise FieldError("error budget checks apply to PODR reports only")
-    b = report.budget
     if beta is None:
-        bound = b.e_sam_bound
+        bound = report.e_sam_bound
+    elif beta < 2.0:
+        raise FieldError("beta must be at least 2")
     else:
-        if beta < 2.0:
-            raise FieldError("beta must be at least 2")
-        n_shot_basis = report.n_shot_total // report.n_b
-        bound = beta * math.sqrt(report.n_b / n_shot_basis)
-    return report.epsilon <= b.e_proj + b.e_enc + bound
+        bound = _sampling_bound(beta, report.n_b, report.n_shot_total)
+    return report.epsilon <= report.e_proj + report.e_enc + bound

@@ -15,9 +15,9 @@ import numpy as np
 from .errors import FieldError
 from .flow import Field2D
 from .io_util import atomic_write_text
-from .pipeline import fmt
+from .pipeline import COMPONENTS, fmt
 
-METHOD_LABELS = {"PODR": "PODR", "RSR": "RSR", "FSR": "FSR (idealized)", "truth": "truth"}
+METHOD_LABELS = {"FSR": "FSR (idealized)"}  # every other method is labelled by its name
 
 
 def stream_function(u_x: Field2D) -> Field2D:
@@ -77,11 +77,11 @@ def emit_visual_comparison(cfg, reports, targets):
     """
     out_dir = os.path.join(cfg.out_dir, "visual")
     os.makedirs(out_dir, exist_ok=True)
-    panels = {"truth": {c: targets[c].x for c in ("ux", "uy")}}
+    panels = {"truth": {c: targets[c].x for c in COMPONENTS}}
     for method, comp_reports in reports.items():
-        if set(comp_reports) != {"ux", "uy"}:
+        if set(comp_reports) != set(COMPONENTS):
             raise FieldError(f"method {method} must report both components")
-        panels[method] = {c: comp_reports[c].reconstruction for c in ("ux", "uy")}
+        panels[method] = {c: comp_reports[c].reconstruction for c in COMPONENTS}
 
     written = []
     for name, comps in panels.items():

@@ -64,7 +64,7 @@ def analytic_floor(offline, comp, x):
     rep = podr_readout(
         x, art.basis, art.approximants, art.basis.n_b, seed=0, analytic=True
     )
-    return rep, math.sqrt(rep.budget.e_proj**2 + rep.budget.e_enc**2)
+    return rep, math.sqrt(rep.e_proj**2 + rep.e_enc**2)
 
 
 def test_criterion_01_estimator_exactness(cavity_bases):

@@ -22,7 +22,6 @@ from podreadout.errors import ConfigError, NumericalError
 from podreadout.flow import transient_pair, write_snapshot_file
 from podreadout.pipeline import (
     harmonized_shots,
-    podr_shots,
     problem_of,
     run_depth_study,
     run_offline,
@@ -173,9 +172,9 @@ def test_wrongly_typed_value_exits_2_naming_key_and_value(
 
 class TestShotHelpers:
     def test_podr_shots_rounds_down(self):
-        assert podr_shots(10_000, 5) == 10_000
-        assert podr_shots(10_000, 7) == 9_996
-        assert podr_shots(3, 7) == 7
+        assert harmonized_shots(10_000, [5]) == 10_000
+        assert harmonized_shots(10_000, [7]) == 9_996
+        assert harmonized_shots(3, [7]) == 7
 
     def test_harmonized_shots_uses_lcm(self):
         assert harmonized_shots(10_000, [5, 7]) == 9_975
@@ -206,10 +205,11 @@ class TestOffline:
 
     def test_manifest_reports_thresholds_met(self, tmp_path):
         cfg = transient_config(tmp_path / "out")
-        res = run_offline(cfg)
+        run_offline(cfg)
+        manifest = json.loads((Path(cfg.out_dir) / "manifest.json").read_text())
         proj_thr, enc_thr = cfg.thresholds
         for comp in ("ux", "uy"):
-            entry = res.manifest["components"][comp]
+            entry = manifest["components"][comp]
             assert entry["e_proj_est"] <= proj_thr
             assert entry["e_enc_est"] <= enc_thr
 
@@ -497,7 +497,8 @@ class TestDepthStudyOffline:
     def test_row_at_own_grid_matches_offline_manifest(self, tmp_path):
         # both commands run offline_component: same n_b and bond plan
         cfg = transient_config(tmp_path / "out", nx=32, ny=32, case="case2")
-        manifest = run_offline(cfg).manifest
+        run_offline(cfg)
+        manifest = json.loads((Path(cfg.out_dir) / "manifest.json").read_text())
         rows = run_depth_study(cfg, grid_sizes=[cfg.grid_points])
         for row in rows:
             entry = manifest["components"][row["component"]]

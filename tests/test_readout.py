@@ -127,7 +127,7 @@ class TestPodrReadout:
         recon = un @ overlaps
         direct = np.linalg.norm(x - recon)
         assert rep.epsilon == pytest.approx(direct, abs=1e-12)
-        floor = math.sqrt(rep.budget.e_proj**2 + rep.budget.e_enc**2)
+        floor = math.sqrt(rep.e_proj**2 + rep.e_enc**2)
         assert rep.epsilon == pytest.approx(floor, abs=1e-10)
 
     def test_shot_bookkeeping(self):
@@ -218,6 +218,21 @@ class TestErrorBudget:
         rep = rsr_readout(Target(np.ones(4) / 2.0), 10, seed=0)
         with pytest.raises(FieldError):
             error_budget_check(rep)
+
+    def test_rsr_and_fsr_reports_carry_no_budget_terms(self):
+        target = Target(np.ones(4) / 2.0)
+        for rep in (rsr_readout(target, 10, seed=0),
+                    fsr_readout(target, 10, cutoff=0.01, seed=0)):
+            assert (rep.n_b, rep.e_proj, rep.e_enc, rep.e_sam_bound) == (None,) * 4
+            for beta in (None, 4.0):
+                with pytest.raises(FieldError, match="PODR reports only"):
+                    error_budget_check(rep, beta=beta)
+
+    def test_podr_report_carries_the_budget_terms(self):
+        basis, apx, x = small_problem()
+        rep = podr_readout(Target(x), basis, apx, 4000, seed=0, beta=3.0)
+        assert rep.e_sam_bound == 3.0 * math.sqrt(4 / 1000)
+        assert min(rep.e_proj, rep.e_enc) >= 0.0
 
     def test_coverage_beta2_and_beta4(self):
         basis, apx, x = small_problem(chi=4)

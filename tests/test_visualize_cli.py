@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 import podreadout
+from podreadout import pipeline
 from podreadout.cli import main
 from podreadout.config import ExperimentConfig
 from podreadout.flow import (
@@ -224,6 +225,37 @@ class TestCli:
         argv = ["--config", str(cfg_path), "depth-study", *(["--sizes", sizes] if sizes else [])]
         assert_config_error(tmp_path, capsys, argv)
 
+    @pytest.mark.parametrize("sizes", ["1024,256", None])
+    def test_depth_study_size_below_chi_cap_exits_2_before_any_solve(
+        self, tmp_path, capsys, monkeypatch, sizes
+    ):
+        # chi_cap 32 fits the 32x32 config grid, but no cut of N = 256 exceeds 2^4;
+        # None: no --sizes, and the config's grid_sizes holds the same sizes
+        cfg_path = write_config(tmp_path, nx=32, ny=32, chi_cap=32,
+                                **({} if sizes else {"grid_sizes": [1024, 256]}))
+        built, real = [], pipeline.pod_bases
+        monkeypatch.setattr(pipeline, "pod_bases", lambda prob: built.append(prob) or real(prob))
+        argv = ["--config", str(cfg_path), "depth-study", *(["--sizes", sizes] if sizes else [])]
+        assert_config_error(tmp_path, capsys, argv)
+        assert built == []
+
+    def test_chi_cap_above_the_maximal_cut_bond_exits_2(self, tmp_path, capsys):
+        # a 16x16 grid has 2^8 entries, so no cut bond exceeds 2^4
+        cfg_path = write_config(tmp_path, nx=16, ny=16, chi_cap=32)
+        assert main(["--config", str(cfg_path), "offline"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: chi_cap 32 exceeds 16,"), err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("problem", [
+        dict(problem="cavity", nx=16, ny=16, reynolds=[100, 200], target_reynolds=150), {},
+    ], ids=["cavity", "transient"])
+    def test_empty_param_sweep_exits_2(self, tmp_path, capsys, problem):
+        cfg_path = write_config(tmp_path, param_sweep=[], **problem)
+        assert main(["--config", str(cfg_path), "param-study"]) == 2
+        assert "param_sweep must be a nonempty list" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_scalar_list_key_exit_code(self, tmp_path, capsys):
         cfg_path = write_config(tmp_path, grid_sizes=1024)
         argv = ["--config", str(cfg_path), "depth-study"]
@@ -363,7 +395,8 @@ def test_ingest_into_a_missing_directory_exits_2_naming_it(tmp_path, capsys):
     missing = tmp_path / "missing_dir"
     assert main(["ingest", str(tmp_path / "a.csv"), "--to", str(missing / "x.pods")]) == 2
     err = capsys.readouterr().err
-    assert err.startswith("error: ") and str(missing) in err
+    assert err.startswith("error: ") and str(missing / "x.pods") in err
+    assert ".tmp-" not in err
     assert not missing.exists()
 
 
