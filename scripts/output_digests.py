@@ -9,9 +9,11 @@ each as its own `python -m podreadout` process writing into OUT, and prints
 `sha256  relpath` for every file under OUT (fields/ and visual/ included),
 then one `sha256  stdout:COMMAND exit=CODE` line per command, with OUT
 masked in the stdout.  Two trees are byte-identical on CONFIG when their
-printouts are.  OUT should be empty or missing: an existing field store or
-manifest is reused.  BLAS threads default to 1 (fields solved on 64x64 grids
-and finer differ in the last bits across thread counts).
+printouts are.  The names of fields/ files digest flow.py's bytes, so an edit
+of flow.py renames them: then compare the sorted digest column of fields/.
+OUT should be empty or missing: an existing field store or manifest is
+reused.  BLAS threads default to 1 (fields solved on 64x64 grids and finer
+differ in the last bits across thread counts).
 """
 
 import argparse

@@ -30,6 +30,7 @@ from .io_util import atomic_write_bytes
 
 SNAPSHOT_MAGIC = b"PODS"
 SNAPSHOT_VERSION = 1
+REYNOLDS_RANGE = (1.0, 5000.0)  # the Reynolds numbers the cavity solver accepts
 
 
 @dataclass(frozen=True)
@@ -92,8 +93,9 @@ class CavityRun:
 
 
 def _check_reynolds(re):
-    if not (1.0 <= re <= 5000.0):
-        raise FieldError(f"reynolds {re} outside supported range [1, 5000]")
+    low, high = REYNOLDS_RANGE
+    if not (low <= re <= high):
+        raise FieldError(f"reynolds {re} outside supported range [{low:g}, {high:g}]")
 
 
 def ladder_below(re):
@@ -255,13 +257,6 @@ def solve_cavity_run(
     u_x, u_y = cavity_velocities(psi, lid_speed)
     return CavityRun(psi=psi, omega=omega, u_x=u_x, u_y=u_y,
                      residuals=residuals, iterations=len(residuals) - 1)
-
-
-# The functions whose source decides a cavity solve: the solver's code path,
-# the ladder rule and every flow function they call.  The field store's key
-# digests their source, so an edit anywhere else keeps stored solves valid.
-SOLVER_PATH = (ladder_below, solve_cavity_run, _check_reynolds, _is_pow2, _newton,
-               _newton_step, _residuals, _velocity, cavity_velocities)
 
 
 # Traveling-vortex surrogate: fixed irrational wavenumbers in x keep the

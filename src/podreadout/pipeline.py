@@ -4,11 +4,11 @@ problem_of is the one place that looks at the problem kind: every stage
 reads the Problem it returns, and Problem.targets(param) prepares one
 readout.Target per component, by default of the held-out pair.  Cavity
 fields come through a FieldCache, by default the config's own store
-(<out_dir>/fields); transient pairs are analytic and computed on each call.
+(<out_dir>/fields), keyed on flow.py's bytes; transient pairs are analytic.
 
 pod_bases builds and factors both components' snapshot matrices; only then
 does offline_component, the one offline stage (basis count, bond search),
-run on each component's basis.  run_offline persists its results,
+run on each component's basis.  run_offline persists (or reloads) its results,
 run_depth_study repeats it across grid sizes and run_param_study reads the
 same bases.  readouts is the one loop over readout cells (component, method,
 budget, seed): the sweep, `podr readout` and `podr visualize` all use it.
@@ -27,7 +27,6 @@ from __future__ import annotations
 
 import functools
 import hashlib
-import inspect
 import itertools
 import json
 import logging
@@ -80,24 +79,10 @@ def write_csv(path, header: str, rows) -> None:
     atomic_write_text(path, "\n".join([header, *lines]) + "\n")
 
 
-def _definition(fn, lines) -> str:
-    """fn's source, from its def line to the last line the compiler kept in
-    its code or a function nested in it; lines are its file's lines."""
-    codes, last = [fn.__code__], fn.__code__.co_firstlineno
-    while codes:
-        code = codes.pop()
-        last = max([last, *(line for _, _, line in code.co_lines() if line)])
-        codes.extend(c for c in code.co_consts if inspect.iscode(c))
-    return "".join(lines[fn.__code__.co_firstlineno - 1:last])
-
-
 @functools.cache
-def _solver_digest(module=flow) -> str:
-    """sha256 of the source of module's SOLVER_PATH (flow's by default): an
-    edited solver never meets old states, while edits elsewhere keep keys."""
-    lines = Path(module.__file__).read_text().splitlines(keepends=True)
-    source = "".join(_definition(fn, lines) for fn in module.SOLVER_PATH)
-    return hashlib.sha256(source.encode()).hexdigest()
+def _solver_digest() -> str:
+    """sha256 of flow.py's bytes: an edited solver never meets old states."""
+    return hashlib.sha256(Path(flow.__file__).read_bytes()).hexdigest()
 
 
 def cavity_field_key(re, nx, ny, tol, max_iters, lid_speed) -> str:
@@ -233,8 +218,9 @@ def problem_of(cfg: ExperimentConfig, cache: FieldCache | None = None) -> Proble
         # each Re and the midpoints to its neighbours, in the solver's range
         res = sorted(cfg.reynolds)
         half = min((b - a for a, b in zip(res, res[1:])), default=res[0]) / 2.0
+        low, high = flow.REYNOLDS_RANGE
         axis = tuple(dict.fromkeys(
-            v for re in res for v in (re - half, re, re + half) if 1.0 <= v <= 5000.0))
+            v for re in res for v in (re - half, re, re + half) if low <= v <= high))
     else:
         def pair(step):
             return flow.transient_pair(step, cfg.period, cfg.nx, cfg.ny, cfg.transient_seed)
@@ -269,7 +255,11 @@ class OfflineComponent:
     basis: pod.PodBasisSet
     plan: mps.BondPlan
     approximants: list
-    e_proj_est: float
+
+    @property
+    def e_proj_est(self) -> float:
+        """The projection estimator at the basis's own n_b."""
+        return pod.proj_error_estimator(self.basis.sigma, self.basis.m, self.basis.n_b)
 
 
 def offline_component(basis, thresholds, chi_cap) -> OfflineComponent:
@@ -280,11 +270,9 @@ def offline_component(basis, thresholds, chi_cap) -> OfflineComponent:
     with every bond at most chi_cap.
     """
     proj_thr, enc_thr = thresholds
-    n_b = pod.select_nb(basis.sigma, basis.m, proj_thr)
-    basis = basis.with_nb(n_b)
-    e_proj_est = pod.proj_error_estimator(basis.sigma, basis.m, n_b)
+    basis = basis.with_nb(pod.select_nb(basis.sigma, basis.m, proj_thr))
     plan, approximants = mps.search_bond_plan(basis, enc_thr, chi_cap)
-    return OfflineComponent(basis, plan, approximants, e_proj_est)
+    return OfflineComponent(basis, plan, approximants)
 
 
 @dataclass
@@ -312,33 +300,31 @@ def _snapshot_digests(cfg):
 def _try_reuse(cfg, digests, manifest_path):
     """The OfflineResult manifest_path records, or None when the artifacts must
     be rebuilt: the manifest is missing or malformed (logged), it was written
-    for another config or other snapshot files (digests), or a file changed."""
+    for another config or other snapshot files (digests), or a file changed.
+    Each component's entry is read, its files hashed and loaded in one pass."""
     try:
         manifest = json.loads(Path(manifest_path).read_text())
     except (OSError, json.JSONDecodeError):
         return None
+    components = {}
     try:
         if (manifest.get("config_hash"), manifest.get("snapshot_sha256")) != (
                 config_hash(cfg), digests):
             return None
-        recorded = []
         for comp in COMPONENTS:
             e = manifest["components"][comp]
-            recorded.append((comp, _component_files(comp, e["n_b"]), dict(e["files"]),
-                             mps.BondPlan(tuple(e["chis"]), float(e["e_enc_est"])),
-                             float(e["e_proj_est"])))
+            names = _component_files(comp, e["n_b"])
+            plan = mps.BondPlan(tuple(e["chis"]), float(e["e_enc_est"]))
+            paths = [os.path.join(cfg.out_dir, name) for name in names]
+            if not all(os.path.exists(path) and sha256_file(path) == e["files"].get(name)
+                       for name, path in zip(names, paths)):
+                return None
+            components[comp] = OfflineComponent(
+                pod.load_basis(paths[0]), plan, [mps.load_mps(p) for p in paths[1:]])
     except (AttributeError, KeyError, TypeError, ValueError, FieldError) as exc:
         log.warning("malformed manifest %s (%s: %s); rebuilding",
                     manifest_path, type(exc).__name__, exc)
         return None
-    components = {}
-    for comp, names, files, plan, e_proj_est in recorded:
-        paths = [os.path.join(cfg.out_dir, name) for name in names]
-        if not all(os.path.exists(path) and sha256_file(path) == files.get(name)
-                   for name, path in zip(names, paths)):
-            return None
-        components[comp] = OfflineComponent(
-            pod.load_basis(paths[0]), plan, [mps.load_mps(p) for p in paths[1:]], e_proj_est)
     return OfflineResult(components=components, reused=True)
 
 
@@ -412,7 +398,7 @@ def run_cell(cfg, offline, target, comp, method, n_shot, seed):
     if method == "PODR":
         shots = harmonized_shots(n_shot, [art.basis.n_b])
         if shots != n_shot:
-            log.info("PODR budget %d rounded down to %d (n_b=%d, %s)",
+            log.info("PODR budget %d rounded to %d, a multiple of n_b=%d (%s)",
                      n_shot, shots, art.basis.n_b, comp)
         return readout.podr_readout(target, art.basis, art.approximants, shots, cell,
                                     beta=cfg.beta)
@@ -498,17 +484,13 @@ def run_param_study(cfg: ExperimentConfig, cache: FieldCache | None = None):
 
 
 def _depth_study_sides(sizes):
-    """Grid side of each total size: a power of two, at least 16, squared."""
+    """Grid side of each total size, a square; validate_config checks each grid."""
     if not sizes:
         raise ConfigError("depth-study needs at least one grid size, got none")
-    sides = []
-    for size in sizes:
-        side = math.isqrt(size) if isinstance(size, int) and size > 0 else 0
-        if side < 16 or side * side != size or side & (side - 1):
-            raise ConfigError(
-                f"grid size {size} is not the square of a power of two of at least 16"
-            )
-        sides.append(side)
+    sides = [math.isqrt(size) if isinstance(size, int) and size > 0 else 0 for size in sizes]
+    for size, side in zip(sizes, sides):
+        if side * side != size:
+            raise ConfigError(f"grid size {size} is not a square number")
     return sides
 
 
@@ -530,7 +512,7 @@ def run_depth_study(cfg: ExperimentConfig, cache: FieldCache | None = None,
             "ingested snapshots exist at one grid only"
         )
     sizes = tuple(grid_sizes) if grid_sizes is not None else cfg.grid_sizes
-    # each grid's config is checked (chi_cap against its cut bonds) before any solve
+    # each grid's config is checked (its side, chi_cap against its cut bonds) before any solve
     grids = [validate_config(replace(cfg, nx=side, ny=side))
              for side in _depth_study_sides(sizes)]
     rows = []

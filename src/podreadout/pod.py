@@ -1,6 +1,7 @@
 """Snapshot matrix assembly, SVD-based basis extraction, and error estimators.
 
-The snapshot matrix stacks unit-normalized flattened fields as columns.
+build_snapshot_matrix stacks unit-normalized flattened fields as columns; it
+is the one check of a snapshot matrix (Field2D already keeps values finite).
 Its left singular vectors are the spatial bases; the tail of the singular
 spectrum drives both the truncation estimator and the basis count choice.
 """
@@ -23,26 +24,11 @@ BASIS_VERSION = 1
 
 @dataclass(frozen=True)
 class SnapshotMatrix:
-    """Column stack of m unit-norm snapshots of length n (m < n)."""
+    """Column stack of m unit-norm snapshots of length n (m < n), one label
+    per column; build_snapshot_matrix builds and checks it."""
 
     data: np.ndarray
     labels: tuple
-
-    def __post_init__(self):
-        d = np.asarray(self.data, dtype=np.float64)
-        if d.ndim != 2:
-            raise FieldError(f"snapshot matrix must be 2D, got shape {d.shape}")
-        n, m = d.shape
-        if m >= n:
-            raise FieldError(f"need more grid points than snapshots, got n={n}, m={m}")
-        if len(self.labels) != m:
-            raise FieldError(f"{len(self.labels)} labels for {m} snapshots")
-        norms = np.sqrt(np.einsum("ij,ij->j", d, d))  # no n x m temporary
-        if np.abs(norms - 1.0).max() > 1e-12:
-            bad = int(np.argmax(np.abs(norms - 1.0)))
-            raise FieldError(f"column {bad} has norm {norms[bad]!r}, expected 1")
-        object.__setattr__(self, "data", d)
-        object.__setattr__(self, "labels", tuple(self.labels))
 
     @property
     def n(self) -> int:
@@ -84,27 +70,29 @@ class PodBasisSet:
 def build_snapshot_matrix(fields, labels) -> SnapshotMatrix:
     """Flatten fields row-major, normalize each to unit L2, keep order."""
     fields = list(fields)
-    labels = list(labels)
+    labels = tuple(labels)
     if not fields:
         raise FieldError("no snapshots given")
     if len(labels) != len(fields):
         raise FieldError(f"{len(labels)} labels for {len(fields)} snapshots")
     shape = (fields[0].nx, fields[0].ny)
-    data = np.empty((shape[0] * shape[1], len(fields)))
+    n, m = shape[0] * shape[1], len(fields)
+    if m >= n:
+        raise FieldError(f"need more grid points than snapshots, got n={n}, m={m}")
+    data = np.empty((n, m))
     for k, f in enumerate(fields):
         if (f.nx, f.ny) != shape:
             raise FieldError(
                 f"snapshot {k} is {f.nx}x{f.ny}, expected {shape[0]}x{shape[1]}"
             )
-        if not np.all(np.isfinite(f.values)):
-            raise FieldError(f"snapshot {k}: non-finite value")
         nrm = np.linalg.norm(f.values)
-        if nrm == 0.0:
-            raise FieldError(f"snapshot {k}: zero norm, cannot normalize")
+        if nrm in (0.0, np.inf):  # an overflowing norm would give a zero column
+            what = "zero" if nrm == 0.0 else "infinite"
+            raise FieldError(f"snapshot {k}: {what} norm, cannot normalize")
         np.divide(f.values, nrm, out=data[:, k])
     if len(set(labels)) != len(labels):
         warnings.warn("duplicate snapshot labels", stacklevel=2)
-    return SnapshotMatrix(data=data, labels=tuple(labels))
+    return SnapshotMatrix(data=data, labels=labels)
 
 
 def pod_decompose(s: SnapshotMatrix) -> PodBasisSet:

@@ -202,6 +202,8 @@ class TestOffline:
             assert a.basis.n_b == b.basis.n_b
             assert a.plan.chis == b.plan.chis
             assert np.array_equal(a.basis.u, b.basis.u)
+            recorded = json.loads(manifest_bytes)["components"][comp]["e_proj_est"]
+            assert a.e_proj_est == b.e_proj_est == recorded
 
     def test_manifest_reports_thresholds_met(self, tmp_path):
         cfg = transient_config(tmp_path / "out")
@@ -398,6 +400,21 @@ class TestSweep:
         for r in podr_rows:
             nb = offline.components[r["component"]].basis.n_b
             assert r["n_shot_total"] == (1001 // nb) * nb
+
+    @pytest.mark.parametrize("requested", [2, 1000])
+    def test_podr_budget_log_names_the_budget_it_rounded_to(self, tmp_path, caplog, requested):
+        # 2 is below every n_b, so harmonized_shots raises it to n_b
+        cfg = transient_config(tmp_path / "out", methods=("PODR",), shot_grid=(requested,),
+                               seeds=(0,))
+        offline = run_offline(cfg)
+        with caplog.at_level(logging.INFO, logger="podreadout"):
+            run_shot_sweep(cfg, offline)
+        for comp, art in offline.components.items():
+            n_b = art.basis.n_b
+            shots = harmonized_shots(requested, [n_b])
+            assert shots != requested
+            assert (f"PODR budget {requested} rounded to {shots}, a multiple of n_b={n_b} "
+                    f"({comp})") in caplog.text
 
     def test_duplicate_budgets_repeat_their_rows(self, tmp_path):
         def sweep(out, shot_grid):

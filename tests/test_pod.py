@@ -42,6 +42,12 @@ class TestBuild:
         with pytest.raises(FieldError, match="snapshot 1: zero norm"):
             build_snapshot_matrix(fields, ["a", "b"])
 
+    def test_overflowing_norm_names_index(self):
+        fields = [Field2D(2, 2, np.ones(4)), Field2D(2, 2, np.full(4, 1e200))]
+        with np.errstate(over="ignore"), pytest.raises(FieldError,
+                                                       match="snapshot 1: infinite norm"):
+            build_snapshot_matrix(fields, ["a", "b"])
+
     def test_duplicate_labels_warn(self):
         fields = [Field2D(2, 2, np.ones(4)), Field2D(2, 2, np.arange(1.0, 5.0))]
         with pytest.warns(UserWarning, match="duplicate"):

@@ -8,6 +8,8 @@ from podreadout.cli import main
 SCRIPT = Path(__file__).resolve().parents[1] / "scripts" / "output_digests.py"
 TINY_TRANSIENT = dict(problem="transient", nx=16, ny=16, window=[0, 5], period=8,
                       target_step=7, chi_cap=8, shot_grid=[500], seeds=[0])
+TINY_CAVITY = dict(problem="cavity", nx=16, ny=16, reynolds=[100, 200], target_reynolds=150,
+                   chi_cap=8, shot_grid=[500], seeds=[0])
 COMMANDS = ["solve", "offline", "sweep", "param-study", "readout --shots 10000",
             "visualize --shots 10000", "depth-study --sizes 256"]
 
@@ -35,6 +37,16 @@ def test_output_digests_lists_every_file_and_command(tmp_path):
     assert "visual/PODR_psi.svg" in files
     assert set(exits.values()) == {"0"}
     # a second run into a fresh directory prints the same digests
+    assert digests(cfg, tmp_path / "again")[0] == printout
+
+
+def test_output_digests_of_a_cavity_config(tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(TINY_CAVITY))
+    printout, files, exits = digests(cfg, tmp_path / "out")
+    assert any(name.startswith("fields/") for name in files)
+    assert set(exits.values()) == {"0"}
+    # the field store's file names repeat too
     assert digests(cfg, tmp_path / "again")[0] == printout
 
 

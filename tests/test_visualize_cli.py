@@ -218,9 +218,10 @@ class TestCli:
                      "--sizes", "256,1024"]) == 0
         assert os.path.exists(tmp_path / "out" / "depth_study.csv")
 
-    @pytest.mark.parametrize("sizes", ["512", "abc", None])
+    @pytest.mark.parametrize("sizes", ["512", "abc", None, "1296"])
     def test_depth_study_bad_sizes_exit_code(self, tmp_path, capsys, sizes):
-        # None: no --sizes, and the config's grid_sizes is empty
+        # None: no --sizes, and the config's grid_sizes is empty; 1296 = 36^2,
+        # a square whose side is not a power of two
         cfg_path = write_config(tmp_path, **({} if sizes else {"grid_sizes": []}))
         argv = ["--config", str(cfg_path), "depth-study", *(["--sizes", sizes] if sizes else [])]
         assert_config_error(tmp_path, capsys, argv)
