@@ -64,7 +64,7 @@ def _check_shots(shots):
 
 def _cmd_solve(cfg, args):
     prob = pipeline.problem_of(cfg)
-    ux, uy, labels = prob.ensemble()
+    ux, uy = prob.ensemble()
     tx, ty = prob.pair(prob.target)
     os.makedirs(cfg.out_dir, exist_ok=True)
     for name, fields in (
@@ -72,7 +72,7 @@ def _cmd_solve(cfg, args):
     ):
         flow.write_snapshot_file(fields, os.path.join(cfg.out_dir, f"{name}.pods"))
     print(f"wrote {len(ux)} ensemble snapshots per component "
-          f"(labels {labels[0]}..{labels[-1]}) and the target to {cfg.out_dir}")
+          f"(labels {prob.labels[0]}..{prob.labels[-1]}) and the target to {cfg.out_dir}")
     return 0
 
 

@@ -148,13 +148,17 @@ def _check_reynolds_values(key: str, values) -> None:
 
 
 def validate_config(cfg: ExperimentConfig) -> ExperimentConfig:
-    """cfg, unless a value has the wrong type or range (never converted, so a
-    valid config keeps its hash)."""
+    """cfg, unless a value has the wrong type or range or a list value repeats
+    (never converted, so a valid config keeps its hash)."""
     if cfg.problem not in ("cavity", "transient", "ingested"):
         raise ConfigError(f"unknown problem {cfg.problem!r}")
     if not (_is_pow2(cfg.nx) and _is_pow2(cfg.ny)) or cfg.nx < 16 or cfg.ny < 16:
         raise ConfigError(f"grid {cfg.nx}x{cfg.ny} must be powers of two, at least 16")
     _check(cfg, _CHECKS)
+    for key in ("methods", "shot_grid", "seeds", "reynolds", "param_sweep", "grid_sizes"):
+        values = getattr(cfg, key) or ()  # compared by ==, so unhashable values are fine
+        if any(v in values[:i] for i, v in enumerate(values)):
+            raise ConfigError(f"{key} repeats a value: {list(values)!r}")
     max_bond = 2 ** ((cfg.grid_points.bit_length() - 1) // 2)
     if cfg.chi_cap > max_bond:
         raise ConfigError(f"chi_cap {cfg.chi_cap} exceeds {max_bond}, the maximal cut "

@@ -14,7 +14,8 @@ class ConfigError(PodrError):
 
 
 class SnapshotFormatError(PodrError):
-    """Malformed snapshot file (bad magic, truncation, shape mismatch)."""
+    """Malformed snapshot file (bad magic, truncation, shape mismatch,
+    a non-finite value)."""
 
 
 class NumericalError(PodrError):
@@ -22,7 +23,7 @@ class NumericalError(PodrError):
 
 
 class FieldError(NumericalError):
-    """Bad field data: non-finite values or a zero-norm snapshot."""
+    """Bad field data: non-finite values or a zero or infinite norm."""
 
 
 class ConvergenceError(NumericalError):

@@ -349,7 +349,7 @@ def read_snapshot_file(path):
         try:
             fields.append(Field2D(nx=nx, ny=ny, values=chunk))
         except FieldError as exc:
-            raise FieldError(f"snapshot {k}: {exc}") from exc
+            raise SnapshotFormatError(f"snapshot {k}: {exc}") from exc
     return fields
 
 
@@ -362,7 +362,7 @@ def read_snapshot_csv(path) -> Field2D:
     try:
         return Field2D.from_grid(arr)
     except FieldError as exc:
-        raise FieldError(f"{path}: {exc}") from exc
+        raise SnapshotFormatError(f"{path}: {exc}") from exc
 
 
 def divergence_interior(u_x: Field2D, u_y: Field2D) -> np.ndarray:

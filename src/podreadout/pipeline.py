@@ -1,10 +1,12 @@
 """End-to-end orchestration: offline artifacts, shot sweeps and the two studies.
 
 problem_of is the one place that looks at the problem kind: every stage
-reads the Problem it returns, and Problem.targets(param) prepares one
-readout.Target per component, by default of the held-out pair.  Cavity
-fields come through a FieldCache, by default the config's own store
-(<out_dir>/fields), keyed on flow.py's bytes; transient pairs are analytic.
+reads the Problem it returns (its distinct training labels, and the digests
+of ingested files, hashed before they are read), and Problem.targets(param)
+prepares one readout.Target per component through pod.unit_vector, by
+default of the held-out pair.  Cavity fields come through a FieldCache, by
+default the config's own store (<out_dir>/fields), keyed on flow.py's bytes;
+transient pairs are analytic.
 
 pod_bases builds and factors both components' snapshot matrices; only then
 does offline_component, the one offline stage (basis count, bond search),
@@ -99,7 +101,7 @@ def _load_stored_state(path, nx, ny):
         fields = flow.read_snapshot_file(path)
     except FileNotFoundError:
         return None
-    except (OSError, SnapshotFormatError, FieldError) as exc:
+    except (OSError, SnapshotFormatError) as exc:
         log.warning("unreadable field store file %s (%s); solving again", path, exc)
         return None
     grids = [(f.nx, f.ny) for f in fields]
@@ -148,13 +150,6 @@ class FieldCache:
         return flow.cavity_velocities(psi, lid_speed)
 
 
-def unit_vector(field: flow.Field2D) -> np.ndarray:
-    nrm = np.linalg.norm(field.values)
-    if nrm == 0.0:
-        raise FieldError("zero-norm field cannot be normalized")
-    return field.values / nrm
-
-
 @dataclass(frozen=True)
 class Problem:
     """The fields of one config's problem, whatever its kind.
@@ -162,29 +157,34 @@ class Problem:
     labels are the training parameters and target the held-out one; pair maps
     a parameter to its (u_x, u_y).  axis is the param-study sweep, or None
     when the snapshots have no parameter axis and exist at one grid only.
+    digests holds the content digests of ingested snapshot files, else None.
     """
 
     labels: tuple
     target: object
     pair: Callable
     axis: tuple | None
+    digests: dict | None = None
 
     def ensemble(self):
-        """Training u_x fields, u_y fields and their labels."""
+        """Training u_x fields and u_y fields, in label order."""
         pairs = [self.pair(p) for p in self.labels]
-        return [p[0] for p in pairs], [p[1] for p in pairs], self.labels
+        return [p[0] for p in pairs], [p[1] for p in pairs]
 
     def targets(self, param=None) -> dict:
         """{"ux": ..., "uy": ...} readout.Target of param's pair's unit vectors,
         by default the held-out target's."""
         pair = self.pair(self.target if param is None else param)
-        return {comp: readout.Target(unit_vector(f)) for comp, f in zip(COMPONENTS, pair)}
+        return {comp: readout.Target(pod.unit_vector(f, f"target {comp}"))
+                for comp, f in zip(COMPONENTS, pair)}
 
 
 def problem_of(cfg: ExperimentConfig, cache: FieldCache | None = None) -> Problem:
     """The Problem a config describes; ingested snapshot files are read here.
     Cavity fields come from cache, by default the config's own <out_dir>/fields."""
     if cfg.problem == "ingested":
+        # hashed before reading: a rewrite never goes unseen by offline reuse
+        digests = {"ux": sha256_file(cfg.snapshot_ux), "uy": sha256_file(cfg.snapshot_uy)}
         ux_all, uy_all = map(flow.read_snapshot_file, (cfg.snapshot_ux, cfg.snapshot_uy))
         for path, fields in ((cfg.snapshot_ux, ux_all), (cfg.snapshot_uy, uy_all)):
             if (fields[0].nx, fields[0].ny) != (cfg.nx, cfg.ny):
@@ -206,7 +206,8 @@ def problem_of(cfg: ExperimentConfig, cache: FieldCache | None = None) -> Proble
                 f"the ingested files hold {len(ux_all)} snapshot, the target "
                 f"(target_index {cfg.target_index}): none is left to train on"
             )
-        return Problem(labels, cfg.target_index, lambda k: (ux_all[k], uy_all[k]), None)
+        return Problem(labels, cfg.target_index, lambda k: (ux_all[k], uy_all[k]), None,
+                       digests)
     if cfg.problem == "cavity":
         if cache is None:
             cache = FieldCache(os.path.join(cfg.out_dir, "fields"))
@@ -239,11 +240,11 @@ def pod_bases(prob: Problem) -> dict:
     are dropped once both exist and each matrix once it is factored, so no
     snapshot data outlives this call.
     """
-    ux, uy, labels = prob.ensemble()
+    ux, uy = prob.ensemble()
     mats = {}
     for comp, fields in (("ux", ux), ("uy", uy)):
         try:
-            mats[comp] = pod.build_snapshot_matrix(fields, labels)
+            mats[comp] = pod.build_snapshot_matrix(fields)
         except FieldError as exc:
             raise FieldError(f"component {comp}: {exc}") from exc
     del ux, uy, fields
@@ -284,17 +285,6 @@ class OfflineResult:
 def _component_files(comp: str, n_b: int) -> list:
     """Artifact names of one component: its basis, then its n_b approximants."""
     return [f"{comp}_basis.podb", *(f"{comp}_mps_{i:02d}.podm" for i in range(n_b))]
-
-
-def _snapshot_digests(cfg):
-    """Content digests of an ingested config's snapshot files, else None.
-
-    The config hash covers the paths only; these make offline reuse notice
-    files rewritten in place.
-    """
-    if cfg.problem != "ingested":
-        return None
-    return {"ux": sha256_file(cfg.snapshot_ux), "uy": sha256_file(cfg.snapshot_uy)}
 
 
 def _try_reuse(cfg, digests, manifest_path):
@@ -339,8 +329,8 @@ def run_offline(cfg: ExperimentConfig, cache: FieldCache | None = None) -> Offli
     out_dir = cfg.out_dir
     os.makedirs(out_dir, exist_ok=True)
     manifest_path = os.path.join(out_dir, "manifest.json")
-    digests = _snapshot_digests(cfg)  # hashed before reading: a rewrite never goes unseen
-    reused = _try_reuse(cfg, digests, manifest_path)
+    prob = problem_of(cfg, cache)
+    reused = _try_reuse(cfg, prob.digests, manifest_path)
     if reused is not None:
         log.info("offline artifacts reused from %s", out_dir)
         return reused
@@ -351,9 +341,9 @@ def run_offline(cfg: ExperimentConfig, cache: FieldCache | None = None) -> Offli
         "thresholds": list(cfg.thresholds),
         "components": {},
     }
-    if digests is not None:
-        manifest["snapshot_sha256"] = digests
-    bases = pod_bases(problem_of(cfg, cache))
+    if prob.digests is not None:
+        manifest["snapshot_sha256"] = prob.digests
+    bases = pod_bases(prob)
 
     components = {}
     for comp in COMPONENTS:
@@ -512,8 +502,8 @@ def run_depth_study(cfg: ExperimentConfig, cache: FieldCache | None = None,
             "ingested snapshots exist at one grid only"
         )
     sizes = tuple(grid_sizes) if grid_sizes is not None else cfg.grid_sizes
-    # each grid's config is checked (its side, chi_cap against its cut bonds) before any solve
-    grids = [validate_config(replace(cfg, nx=side, ny=side))
+    # each grid's config is checked (side, chi_cap, repeated sizes) before any solve
+    grids = [validate_config(replace(cfg, nx=side, ny=side, grid_sizes=sizes))
              for side in _depth_study_sides(sizes)]
     rows = []
     for size, grid in zip(sizes, grids):

@@ -1,7 +1,8 @@
 """Snapshot matrix assembly, SVD-based basis extraction, and error estimators.
 
-build_snapshot_matrix stacks unit-normalized flattened fields as columns; it
-is the one check of a snapshot matrix (Field2D already keeps values finite).
+unit_vector is the one normalization, of snapshots and readout targets alike;
+build_snapshot_matrix stacks unit vectors as the columns of a plain (n, m)
+array and is the one check of a snapshot matrix (Field2D keeps values finite).
 Its left singular vectors are the spatial bases; the tail of the singular
 spectrum drives both the truncation estimator and the basis count choice.
 """
@@ -9,7 +10,6 @@ spectrum drives both the truncation estimator and the basis count choice.
 from __future__ import annotations
 
 import struct
-import warnings
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -20,23 +20,6 @@ from .io_util import atomic_write_bytes
 
 BASIS_MAGIC = b"PODB"
 BASIS_VERSION = 1
-
-
-@dataclass(frozen=True)
-class SnapshotMatrix:
-    """Column stack of m unit-norm snapshots of length n (m < n), one label
-    per column; build_snapshot_matrix builds and checks it."""
-
-    data: np.ndarray
-    labels: tuple
-
-    @property
-    def n(self) -> int:
-        return self.data.shape[0]
-
-    @property
-    def m(self) -> int:
-        return self.data.shape[1]
 
 
 @dataclass(frozen=True)
@@ -67,14 +50,22 @@ class PodBasisSet:
         return replace(self, n_b=n_b)
 
 
-def build_snapshot_matrix(fields, labels) -> SnapshotMatrix:
-    """Flatten fields row-major, normalize each to unit L2, keep order."""
+def unit_vector(field, name: str) -> np.ndarray:
+    """field's values over their L2 norm; name says whose norm is refused."""
+    with np.errstate(over="ignore"):  # an overflowing norm is refused here
+        nrm = np.linalg.norm(field.values)
+    if nrm in (0.0, np.inf):
+        raise FieldError(f"{name}: {'zero' if nrm == 0.0 else 'infinite'} norm, "
+                         "cannot normalize")
+    return field.values / nrm
+
+
+def build_snapshot_matrix(fields) -> np.ndarray:
+    """Flatten fields row-major, normalize each to unit L2, keep order: an
+    (n, m) array with m < n."""
     fields = list(fields)
-    labels = tuple(labels)
     if not fields:
         raise FieldError("no snapshots given")
-    if len(labels) != len(fields):
-        raise FieldError(f"{len(labels)} labels for {len(fields)} snapshots")
     shape = (fields[0].nx, fields[0].ny)
     n, m = shape[0] * shape[1], len(fields)
     if m >= n:
@@ -85,34 +76,29 @@ def build_snapshot_matrix(fields, labels) -> SnapshotMatrix:
             raise FieldError(
                 f"snapshot {k} is {f.nx}x{f.ny}, expected {shape[0]}x{shape[1]}"
             )
-        nrm = np.linalg.norm(f.values)
-        if nrm in (0.0, np.inf):  # an overflowing norm would give a zero column
-            what = "zero" if nrm == 0.0 else "infinite"
-            raise FieldError(f"snapshot {k}: {what} norm, cannot normalize")
-        np.divide(f.values, nrm, out=data[:, k])
-    if len(set(labels)) != len(labels):
-        warnings.warn("duplicate snapshot labels", stacklevel=2)
-    return SnapshotMatrix(data=data, labels=labels)
+        data[:, k] = unit_vector(f, f"snapshot {k}")
+    return data
 
 
-def pod_decompose(s: SnapshotMatrix) -> PodBasisSet:
+def pod_decompose(s: np.ndarray) -> PodBasisSet:
     """Thin SVD with a fixed sign convention.
 
     Each left singular vector is flipped so its largest-magnitude entry is
     positive (ties broken by lowest index); the matching right vector flips
     with it, so u @ diag(sigma) @ v.T still reproduces the snapshots.
     """
+    n, m = s.shape
     try:
-        u, sigma, vt = np.linalg.svd(s.data, full_matrices=False)
+        u, sigma, vt = np.linalg.svd(s, full_matrices=False)
     except np.linalg.LinAlgError as exc:
-        raise FieldError(f"SVD failed on {s.n}x{s.m} snapshot matrix: {exc}") from exc
+        raise FieldError(f"SVD failed on {n}x{m} snapshot matrix: {exc}") from exc
     v = vt.T
     for i in range(u.shape[1]):
         lead = u[np.argmax(np.abs(u[:, i])), i]
         if lead < 0.0:
             u[:, i] = -u[:, i]
             v[:, i] = -v[:, i]
-    return PodBasisSet(u=u, sigma=sigma, v=v, n_b=s.m)
+    return PodBasisSet(u=u, sigma=sigma, v=v, n_b=m)
 
 
 def proj_error_estimator(sigma, m: int, n_b: int) -> float:

@@ -79,8 +79,8 @@ def cavity_case2_config(tmp_path_factory):
 @pytest.fixture(scope="session")
 def cavity_ensemble(cavity_case1_config, cache):
     _progress("solving the 64x64 cavity ensemble (10 Reynolds numbers)")
-    ux, uy, labels = problem_of(cavity_case1_config, cache).ensemble()
-    return {"ux": ux, "uy": uy, "labels": labels}
+    ux, uy = problem_of(cavity_case1_config, cache).ensemble()
+    return {"ux": ux, "uy": uy}
 
 
 @pytest.fixture(scope="session")
@@ -94,7 +94,7 @@ def cavity_target(cavity_case1_config, cache):
 def cavity_bases(cavity_ensemble):
     bases = {}
     for comp in ("ux", "uy"):
-        s = pod.build_snapshot_matrix(cavity_ensemble[comp], cavity_ensemble["labels"])
+        s = pod.build_snapshot_matrix(cavity_ensemble[comp])
         bases[comp] = {"matrix": s, "basis": pod.pod_decompose(s)}
     return bases
 

@@ -21,13 +21,13 @@ from podreadout.pipeline import (
     run_offline,
     run_param_study,
     run_shot_sweep,
-    unit_vector,
 )
 from podreadout.pod import (
     build_snapshot_matrix,
     exact_projection_error,
     pod_decompose,
     proj_error_estimator,
+    unit_vector,
 )
 from podreadout.readout import Target, error_budget_check, podr_readout
 from podreadout.visualize import stream_function
@@ -73,15 +73,15 @@ def test_criterion_01_estimator_exactness(cavity_bases):
     cases = [(cavity_bases["ux"]["matrix"], cavity_bases["ux"]["basis"])]
     rng = np.random.default_rng(0)
     fields = [Field2D(64, 64, rng.normal(size=4096)) for _ in range(10)]
-    s_rand = build_snapshot_matrix(fields, list(range(10)))
+    s_rand = build_snapshot_matrix(fields)
     cases.append((s_rand, pod_decompose(s_rand)))
     for s, basis in cases:
         t0 = time.perf_counter()
-        for n_b in range(1, s.m + 1):
-            est_sq = proj_error_estimator(basis.sigma, s.m, n_b) ** 2
+        for n_b in range(1, s.shape[1] + 1):
+            est_sq = proj_error_estimator(basis.sigma, s.shape[1], n_b) ** 2
             mean_sq = np.mean(
-                [exact_projection_error(s.data[:, j], basis, n_b) ** 2
-                 for j in range(s.m)]
+                [exact_projection_error(s[:, j], basis, n_b) ** 2
+                 for j in range(s.shape[1])]
             )
             worst = max(worst, abs(est_sq - mean_sq))
         elapsed += time.perf_counter() - t0
@@ -94,7 +94,7 @@ def test_criterion_01_estimator_exactness(cavity_bases):
 
 
 def test_criterion_02_sampling_error_scaling(sweep_case2, offline_case2, cavity_target):
-    x = Target(unit_vector(cavity_target["ux"]))
+    x = Target(unit_vector(cavity_target["ux"], "target ux"))
     _, floor = analytic_floor(offline_case2, "ux", x)
     s_podr, k_podr = loglog_slope(
         median_curve(sweep_case2, "PODR", "ux"), floor=floor
@@ -110,7 +110,7 @@ def test_criterion_02_sampling_error_scaling(sweep_case2, offline_case2, cavity_
 
 
 def test_criterion_03_plateau(offline_case1, sweep_case2, offline_case2, cavity_target):
-    x = Target(unit_vector(cavity_target["ux"]))
+    x = Target(unit_vector(cavity_target["ux"], "target ux"))
     rep, floor = analytic_floor(offline_case1, "ux", x)
     gap = abs(rep.epsilon - floor)
     # analytic mode stands in for the infinite-shot limit
@@ -134,7 +134,7 @@ def test_criterion_03_plateau(offline_case1, sweep_case2, offline_case2, cavity_
 
 def test_criterion_04_error_bound_coverage(offline_case1, cavity_target):
     art = offline_case1.components["ux"]
-    x = Target(unit_vector(cavity_target["ux"]))
+    x = Target(unit_vector(cavity_target["ux"], "target ux"))
     shots = (10**4 // art.basis.n_b) * art.basis.n_b
     hits2 = hits4 = 0
     trials = 200

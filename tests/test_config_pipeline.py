@@ -27,8 +27,8 @@ from podreadout.pipeline import (
     run_offline,
     run_param_study,
     run_shot_sweep,
-    unit_vector,
 )
+from podreadout.pod import unit_vector
 
 
 def transient_config(out_dir, **overrides):
@@ -86,6 +86,21 @@ class TestConfig:
         doc[key] = value
         with pytest.raises(ConfigError, match=f"{key}: reynolds {named}"):
             config_from_dict(doc)
+
+    @pytest.mark.parametrize("key,value", [
+        ("methods", ["RSR", "RSR"]), ("shot_grid", [500, 500]), ("seeds", [0, 0, 1]),
+        ("reynolds", [100, 100, 200]), ("param_sweep", [100, 300, 100]),
+        ("grid_sizes", [1024, 1024]),
+    ])
+    def test_repeated_list_value_exits_2_naming_the_key(self, tmp_path, capsys, key, value):
+        doc = dict(problem="cavity", nx=16, ny=16, reynolds=[100, 200], target_reynolds=150,
+                   out_dir=str(tmp_path / "out"))
+        doc[key] = value
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(doc))
+        assert main(["--config", str(path), "offline"]) == 2
+        assert capsys.readouterr().err == f"error: {key} repeats a value: {value!r}\n"
+        assert not (tmp_path / "out").exists()
 
     def test_grid_must_be_pow2(self):
         with pytest.raises(ConfigError, match="powers of two"):
@@ -266,8 +281,9 @@ class TestOffline:
             snapshot_uy=str(uy_path), target_index=7, chi_cap=8,
             out_dir=str(tmp_path / "out"), shot_grid=(1000,), seeds=(0,),
         )
-        ux, uy, labels = problem_of(cfg).ensemble()
-        assert len(ux) == 7 and 7 not in labels
+        prob = problem_of(cfg)
+        ux, uy = prob.ensemble()
+        assert len(ux) == 7 and 7 not in prob.labels
         res = run_offline(cfg)
         assert set(res.components) == {"ux", "uy"}
 
@@ -538,10 +554,9 @@ class TestDeskTransientWindow:
 
 
 class TestCavityStudies:
-    def test_snapshot_matrix_shape_and_labels(self, cavity_bases, cavity_ensemble):
-        s = cavity_bases["ux"]["matrix"]
-        assert (s.n, s.m) == (4096, 10)
-        assert s.labels == tuple(range(100, 1001, 100))
+    def test_snapshot_matrix_shape_and_labels(self, cavity_bases, cavity_case1_config, cache):
+        assert cavity_bases["ux"]["matrix"].shape == (4096, 10)
+        assert problem_of(cavity_case1_config, cache).labels == tuple(range(100, 1001, 100))
 
     def test_podr_crosses_percent_level_before_1e6_shots(self, sweep_case1):
         from conftest import median_curve
@@ -556,7 +571,7 @@ class TestCavityStudies:
 
         basis = cavity_bases["ux"]["basis"]
         n_b1 = select_nb(basis.sigma, basis.m, 5e-3)
-        x = unit_vector(cavity_target["ux"])
+        x = unit_vector(cavity_target["ux"], "target ux")
         target_err = exact_projection_error(x, basis, n_b1)
         nearby = [
             r["e_proj_case1"]

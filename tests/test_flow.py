@@ -268,7 +268,7 @@ class TestSnapshotFiles:
         # corrupt one value inside the second snapshot
         data[20 + 8 * 5:20 + 8 * 6] = np.float64(np.nan).tobytes()
         path.write_bytes(bytes(data))
-        with pytest.raises(FieldError, match="snapshot 1"):
+        with pytest.raises(SnapshotFormatError, match="snapshot 1"):
             read_snapshot_file(path)
 
     def test_csv_import(self, tmp_path):

@@ -43,7 +43,7 @@ def schmidt_truncation_fidelity(x, chi):
 def random_basis(n, m, seed, n_b=None):
     rng = np.random.default_rng(seed)
     fields = [Field2D(n, 1, rng.normal(size=n)) for _ in range(m)]
-    basis = pod_decompose(build_snapshot_matrix(fields, list(range(m))))
+    basis = pod_decompose(build_snapshot_matrix(fields))
     return basis.with_nb(n_b or m)
 
 
@@ -331,7 +331,7 @@ def mixed_basis(n, m, kind, seed, n_b):
             for _ in range(m)
         ]
     fields = [Field2D(size, 1, c) for c in cols]
-    return pod_decompose(build_snapshot_matrix(fields, list(range(m)))).with_nb(n_b)
+    return pod_decompose(build_snapshot_matrix(fields)).with_nb(n_b)
 
 
 def core_bytes(approx):

@@ -22,11 +22,11 @@ from podreadout.readout import (
 def small_problem(n=256, m=6, n_b=4, seed=0, chi=4):
     rng = np.random.default_rng(seed)
     fields = [Field2D(n, 1, rng.normal(size=n)) for _ in range(m)]
-    s = build_snapshot_matrix(fields, list(range(m)))
+    s = build_snapshot_matrix(fields)
     basis = pod_decompose(s).with_nb(n_b)
     apx = [tt_svd(basis.u[:, i], chi) for i in range(n_b)]
     # a unit target correlated with the ensemble
-    x = s.data @ rng.normal(size=m)
+    x = s @ rng.normal(size=m)
     x /= np.linalg.norm(x)
     return basis, apx, x
 

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import subprocess
 import sys
@@ -12,11 +13,14 @@ TINY_CAVITY = dict(problem="cavity", nx=16, ny=16, reynolds=[100, 200], target_r
                    chi_cap=8, shot_grid=[500], seeds=[0])
 COMMANDS = ["solve", "offline", "sweep", "param-study", "readout --shots 10000",
             "visualize --shots 10000", "depth-study --sizes 256"]
+EMPTY = hashlib.sha256(b"").hexdigest()  # the digest of a silent stderr
 
 
 def digests(cfg, out):
-    """output_digests.py's printout for cfg written into out, split into its
-    file lines and its {command: exit code} lines."""
+    """output_digests.py's printout for cfg written into out, its file names
+    and {command: exit code}; each command's stdout line comes before its
+    stderr line, with the same exit code, and a command that exits 0 writes
+    nothing to stderr."""
     argv = [sys.executable, str(SCRIPT), str(cfg), str(out), "--sizes", "256"]
     proc = subprocess.run(argv, capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
@@ -25,8 +29,14 @@ def digests(cfg, out):
     names = [line.split("  ", 1)[1] for line in lines]
     files = sorted(p.relative_to(out).as_posix() for p in out.rglob("*") if p.is_file())
     assert names[:len(files)] == files
-    exits = dict(name[len("stdout:"):].rsplit(" exit=", 1) for name in names[len(files):])
+    streams = lines[len(files):]
+    exits = dict(line.split("  stdout:", 1)[1].rsplit(" exit=", 1)
+                 for line in streams[:len(COMMANDS)])
     assert list(exits) == COMMANDS
+    assert [line.split("  ", 1)[1] for line in streams[len(COMMANDS):]] == [
+        f"stderr:{command} exit={code}" for command, code in exits.items()]
+    for line, code in zip(streams[len(COMMANDS):], exits.values()):
+        assert (line.split("  ")[0] == EMPTY) == (code == "0"), line
     return proc.stdout, files, exits
 
 

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import podreadout
-from podreadout import pipeline
+from podreadout import flow, pipeline
 from podreadout.cli import main
 from podreadout.config import ExperimentConfig
 from podreadout.flow import (
@@ -218,10 +218,10 @@ class TestCli:
                      "--sizes", "256,1024"]) == 0
         assert os.path.exists(tmp_path / "out" / "depth_study.csv")
 
-    @pytest.mark.parametrize("sizes", ["512", "abc", None, "1296"])
+    @pytest.mark.parametrize("sizes", ["512", "abc", None, "1296", "1024,1024"])
     def test_depth_study_bad_sizes_exit_code(self, tmp_path, capsys, sizes):
         # None: no --sizes, and the config's grid_sizes is empty; 1296 = 36^2,
-        # a square whose side is not a power of two
+        # a square whose side is not a power of two; 1024,1024 repeats a size
         cfg_path = write_config(tmp_path, **({} if sizes else {"grid_sizes": []}))
         argv = ["--config", str(cfg_path), "depth-study", *(["--sizes", sizes] if sizes else [])]
         assert_config_error(tmp_path, capsys, argv)
@@ -261,6 +261,15 @@ class TestCli:
         cfg_path = write_config(tmp_path, grid_sizes=1024)
         argv = ["--config", str(cfg_path), "depth-study"]
         assert_config_error(tmp_path, capsys, argv)
+
+    def test_repeated_reynolds_exits_2_before_any_solve(self, tmp_path, capsys, monkeypatch):
+        cfg_path = write_config(tmp_path, problem="cavity", nx=16, ny=16,
+                                reynolds=[100, 100, 200], target_reynolds=150)
+        solves = []
+        monkeypatch.setattr(flow, "solve_cavity_run", lambda *a, **k: solves.append(a))
+        assert main(["--config", str(cfg_path), "offline"]) == 2
+        assert capsys.readouterr().err == "error: reynolds repeats a value: [100, 100, 200]\n"
+        assert solves == [] and not (tmp_path / "out" / "fields").exists()
 
     def test_config_error_exit_code(self, tmp_path):
         bad = tmp_path / "bad.json"
@@ -410,6 +419,37 @@ def test_out_under_a_regular_file_exits_2_naming_it(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error: ") and str(out) in err
     assert blocker.read_text() == "not a directory\n"
+
+
+@pytest.mark.parametrize("form", ["csv", "pods"])
+def test_ingest_of_a_non_finite_value_exits_2_naming_it(tmp_path, capsys, form):
+    grid = np.ones((8, 16))
+    grid.flat[44] = np.nan
+    if form == "csv":
+        bad = tmp_path / "nan.csv"
+        np.savetxt(bad, grid, delimiter=",")
+        argv, where = ["ingest", str(bad), "--to", str(tmp_path / "x.pods")], f"{bad}: "
+    else:
+        # Field2D refuses a NaN, so snapshot 1's payload is written by hand
+        bad = tmp_path / "nan.pods"
+        bad.write_bytes(SNAPSHOT_MAGIC + struct.pack("<IIII", SNAPSHOT_VERSION, 2, 16, 8)
+                        + np.concatenate([np.ones(128), grid.ravel()]).astype("<f8").tobytes())
+        argv, where = ["ingest", str(bad)], "snapshot 1: "
+    assert main(argv) == 2
+    assert capsys.readouterr().err == f"error: {where}non-finite value at flat index 44\n"
+    assert not (tmp_path / "x.pods").exists()
+
+
+def test_ingested_target_with_an_infinite_norm_names_the_target(tmp_path, capsys, recwarn):
+    cfg_path = write_problem_config(tmp_path, "ingested")
+    fields = read_snapshot_file(tmp_path / "ux.pods")
+    # the target's (index 7) squared entries overflow, so its norm is infinite
+    fields[7] = Field2D(32, 32, fields[7].values * 1e200)
+    write_snapshot_file(fields, tmp_path / "ux.pods")
+    assert main(["--config", str(cfg_path), "readout"]) == 3
+    err = capsys.readouterr().err
+    assert err == "numerical failure: target ux: infinite norm, cannot normalize\n"
+    assert [str(w.message) for w in recwarn] == []
 
 
 def test_ingest_of_an_empty_snapshot_file_exits_2_naming_it(tmp_path, capsys):
