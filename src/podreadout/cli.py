@@ -89,9 +89,9 @@ def _cmd_offline(cfg, args):
 
 def _cmd_readout(cfg, args):
     shots = _check_shots(args.shots) if args.shots is not None else cfg.shot_grid[0]
-    offline = pipeline.run_offline(cfg)
-    targets = pipeline.problem_of(cfg).targets()
-    for comp, method, _, _, rep in pipeline.readouts(cfg, offline, targets, (shots,),
+    prob = pipeline.problem_of(cfg)
+    offline = pipeline.run_offline(cfg, prob)
+    for comp, method, _, _, rep in pipeline.readouts(cfg, offline, prob.targets(), (shots,),
                                                      cfg.seeds[:1]):
         label = visualize.METHOD_LABELS.get(method, method)
         print(f"{label:16s} {comp}: epsilon={rep.epsilon:.4e} (shots={rep.n_shot_total})")
@@ -99,8 +99,8 @@ def _cmd_readout(cfg, args):
 
 
 def _cmd_sweep(cfg, args):
-    offline = pipeline.run_offline(cfg)
-    rows = pipeline.run_shot_sweep(cfg, offline)
+    prob = pipeline.problem_of(cfg)
+    rows = pipeline.run_shot_sweep(cfg, pipeline.run_offline(cfg, prob), prob)
     print(f"{len(rows)} sweep cells -> {os.path.join(cfg.out_dir, 'sweep.csv')}")
     return 0
 
@@ -126,13 +126,14 @@ def _cmd_depth_study(cfg, args):
 
 def _cmd_visualize(cfg, args):
     requested = _check_shots(args.shots)
-    offline = pipeline.run_offline(cfg)
+    prob = pipeline.problem_of(cfg)
+    offline = pipeline.run_offline(cfg, prob)
     shots = pipeline.harmonized_shots(
         requested, [art.basis.n_b for art in offline.components.values()]
     )
     if shots != requested:
         log.info("shared budget adjusted from %d to %d", requested, shots)
-    targets = pipeline.problem_of(cfg).targets()
+    targets = prob.targets()
     reports = {}
     # a copy: readouts pops each target, and the truth panels read targets[c].x
     for comp, method, _, _, rep in pipeline.readouts(cfg, offline, dict(targets), (shots,),

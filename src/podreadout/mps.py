@@ -22,7 +22,9 @@ factoring it again: every earlier cut is the same under chi and 2 chi.
 A wide cut (more columns than rows, as in the first half of the sweep) is
 factored as the SVD of its transpose.  numpy hands a wide C-order matrix to
 LAPACK's slow path; its transpose is a tall Fortran-order one, about 2-3x
-faster at the sweep's shapes.
+faster at the sweep's shapes.  Each cut writes its carry once, in C order,
+so the next cut's reshape is a view, and the dense contraction chains np.dot
+over each core's (left, 2 right) matrix.
 """
 
 from __future__ import annotations
@@ -141,19 +143,17 @@ def tt_svd(x, chi_max: int, resume: _SweepState | None = None) -> MpsVector:
     for k in range(start, n - 1):
         u, s, vt = factors or _svd(carry.reshape(left * 2, -1))
         factors = None
-        keep = max(1, int(np.sum(s > s[0] * _RANK_CUTOFF)))
+        keep = max(1, np.count_nonzero(s > s[0] * _RANK_CUTOFF))
         if keep > chi_max and state is None:
             state = _SweepState(k, chi_max, list(cores), (u, s, vt))
         keep = min(keep, chi_max)
         u = u[:, :keep]
-        s = s[:keep]
-        vt = vt[:keep]
         flips = np.sign(u[np.argmax(np.abs(u), axis=0), np.arange(keep)])
         flips[flips == 0.0] = 1.0
-        u = u * flips
-        vt = vt * flips[:, None]
-        cores.append(u.reshape(left, 2, keep))
-        carry = s[:, None] * vt
+        cores.append((u * flips).reshape(left, 2, keep))
+        # one C-order write; (s * flips) * vt is s * (flips * vt) bit for bit
+        carry = np.multiply((s[:keep] * flips)[:, None], vt[:keep],
+                            out=np.empty((keep, vt.shape[1])))
         left = keep
     if len(cores) < n:
         last = carry.reshape(left, 2, 1)
@@ -169,8 +169,8 @@ def tt_svd(x, chi_max: int, resume: _SweepState | None = None) -> MpsVector:
 
 def _contract_cores(cores, n: int) -> np.ndarray:
     t = cores[0].reshape(2, -1)
-    for core in cores[1:]:
-        t = np.tensordot(t, core, axes=([t.ndim - 1], [0]))
+    for core in cores[1:]:  # the product np.tensordot would form, without its overhead
+        t = np.dot(t, core.reshape(core.shape[0], -1)).reshape(-1, core.shape[2])
     flat = t.reshape(-1)
     flat = flat / np.linalg.norm(flat)
     return from_lsb_flat(flat, n)

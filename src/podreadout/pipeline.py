@@ -318,8 +318,8 @@ def _try_reuse(cfg, digests, manifest_path):
     return OfflineResult(components=components, reused=True)
 
 
-def run_offline(cfg: ExperimentConfig, cache: FieldCache | None = None) -> OfflineResult:
-    """Build (or reload) bases and compressed approximants for both components.
+def run_offline(cfg: ExperimentConfig, prob: Problem | None = None) -> OfflineResult:
+    """Build (or reload) both components' bases and approximants of prob (problem_of(cfg)).
 
     Artifacts land in cfg.out_dir together with manifest.json recording the
     selected basis counts, bond plans, estimator values and content hashes.
@@ -329,7 +329,7 @@ def run_offline(cfg: ExperimentConfig, cache: FieldCache | None = None) -> Offli
     out_dir = cfg.out_dir
     os.makedirs(out_dir, exist_ok=True)
     manifest_path = os.path.join(out_dir, "manifest.json")
-    prob = problem_of(cfg, cache)
+    prob = problem_of(cfg) if prob is None else prob
     reused = _try_reuse(cfg, prob.digests, manifest_path)
     if reused is not None:
         log.info("offline artifacts reused from %s", out_dir)
@@ -412,15 +412,22 @@ def readouts(cfg, offline, targets, budgets, seeds):
                    run_cell(cfg, offline, target, comp, method, n_shot, seed))
 
 
+def _median(values) -> float:
+    """np.median of values, without the numpy.ma import np.median makes."""
+    v = sorted(values)
+    mid = len(v) // 2
+    return float(v[mid] if len(v) % 2 else (v[mid - 1] + v[mid]) / 2)
+
+
 def run_shot_sweep(cfg: ExperimentConfig, offline: OfflineResult,
-                   cache: FieldCache | None = None):
+                   prob: Problem | None = None):
     """Full factorial (method x shot budget x seed x component) readout sweep.
 
-    Writes sweep.csv (one row per cell) and sweep_medians.csv (per-method
-    median curves) into cfg.out_dir; returns the sweep rows as dicts of
-    scalars.
+    Reads prob's targets (default problem_of(cfg)'s), writes sweep.csv (one row
+    per cell) and sweep_medians.csv (per-method median curves) into cfg.out_dir;
+    returns the sweep rows as dicts of scalars.
     """
-    targets = problem_of(cfg, cache).targets()
+    targets = (problem_of(cfg) if prob is None else prob).targets()
     h = config_hash(cfg)
     rows, eps = [], {}
     for comp, method, n_shot, seed, rep in readouts(cfg, offline, targets,
@@ -436,7 +443,7 @@ def run_shot_sweep(cfg: ExperimentConfig, offline: OfflineResult,
         del rep  # free its 2^n-entry arrays before the next cell allocates its own
     medians = [
         {"config_hash": h, "method": method, "component": comp, "n_shot_total": n_shot,
-         "median_epsilon": float(np.median(eps[comp, method, n_shot]))}
+         "median_epsilon": _median(eps[comp, method, n_shot])}
         for comp in COMPONENTS for method in cfg.methods for n_shot in cfg.shot_grid
     ]
     os.makedirs(cfg.out_dir, exist_ok=True)

@@ -1,8 +1,9 @@
 """Snapshot matrix assembly, SVD-based basis extraction, and error estimators.
 
 unit_vector is the one normalization, of snapshots and readout targets alike;
-build_snapshot_matrix stacks unit vectors as the columns of a plain (n, m)
-array and is the one check of a snapshot matrix (Field2D keeps values finite).
+build_snapshot_matrix stacks unit vectors as the columns of a plain
+column-major (n, m) array and is the one check of a snapshot matrix (Field2D
+keeps values finite).
 Its left singular vectors are the spatial bases; the tail of the singular
 spectrum drives both the truncation estimator and the basis count choice.
 """
@@ -70,7 +71,7 @@ def build_snapshot_matrix(fields) -> np.ndarray:
     n, m = shape[0] * shape[1], len(fields)
     if m >= n:
         raise FieldError(f"need more grid points than snapshots, got n={n}, m={m}")
-    data = np.empty((n, m))
+    data = np.empty((n, m), order="F")  # contiguous columns, LAPACK's own layout
     for k, f in enumerate(fields):
         if (f.nx, f.ny) != shape:
             raise FieldError(
@@ -92,12 +93,10 @@ def pod_decompose(s: np.ndarray) -> PodBasisSet:
         u, sigma, vt = np.linalg.svd(s, full_matrices=False)
     except np.linalg.LinAlgError as exc:
         raise FieldError(f"SVD failed on {n}x{m} snapshot matrix: {exc}") from exc
+    signs = np.where(u[np.argmax(np.abs(u), axis=0), np.arange(u.shape[1])] < 0.0, -1.0, 1.0)
+    u *= signs  # a sign flip is exact, so this equals negating the flipped columns
     v = vt.T
-    for i in range(u.shape[1]):
-        lead = u[np.argmax(np.abs(u[:, i])), i]
-        if lead < 0.0:
-            u[:, i] = -u[:, i]
-            v[:, i] = -v[:, i]
+    v *= signs
     return PodBasisSet(u=u, sigma=sigma, v=v, n_b=m)
 
 

@@ -102,25 +102,27 @@ def cavity_bases(cavity_ensemble):
 @pytest.fixture(scope="session")
 def offline_case1(cavity_case1_config, cache, cavity_ensemble):
     _progress("offline stage at case-1 thresholds")
-    return run_offline(cavity_case1_config, cache)
+    return run_offline(cavity_case1_config, problem_of(cavity_case1_config, cache))
 
 
 @pytest.fixture(scope="session")
 def offline_case2(cavity_case2_config, cache, cavity_ensemble):
     _progress("offline stage at case-2 thresholds")
-    return run_offline(cavity_case2_config, cache)
+    return run_offline(cavity_case2_config, problem_of(cavity_case2_config, cache))
 
 
 @pytest.fixture(scope="session")
 def sweep_case1(cavity_case1_config, cache, offline_case1):
     _progress("shot sweep at case-1 (3 methods x 4 budgets x 5 seeds x 2 components)")
-    return run_shot_sweep(cavity_case1_config, offline_case1, cache)
+    return run_shot_sweep(cavity_case1_config, offline_case1,
+                          problem_of(cavity_case1_config, cache))
 
 
 @pytest.fixture(scope="session")
 def sweep_case2(cavity_case2_config, cache, offline_case2):
     _progress("shot sweep at case-2")
-    return run_shot_sweep(cavity_case2_config, offline_case2, cache)
+    return run_shot_sweep(cavity_case2_config, offline_case2,
+                          problem_of(cavity_case2_config, cache))
 
 
 @pytest.fixture(scope="session")

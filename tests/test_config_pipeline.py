@@ -450,6 +450,23 @@ class TestSweep:
             groups = [once[name][i:i + k] for i in range(0, len(once[name]), k)]
             assert twice[name] == [line for g in groups for line in g + g]
 
+    @pytest.mark.parametrize("seeds", [(0, 1, 2), (0, 1, 2, 3)])
+    def test_medians_are_np_median_byte_for_byte(self, tmp_path, seeds):
+        # an odd and an even seed count: the middle value, or the mean of two
+        cfg = transient_config(tmp_path / "out", seeds=seeds)
+        rows = run_shot_sweep(cfg, run_offline(cfg))
+        want = [pipeline.MEDIAN_HEADER]
+        for comp in pipeline.COMPONENTS:
+            for method in cfg.methods:
+                for budget in cfg.shot_grid:
+                    eps = [r["epsilon"] for r in rows if (r["component"], r["method"],
+                           r["n_shot_requested"]) == (comp, method, budget)]
+                    assert len(eps) == len(seeds)
+                    want.append(f"{config_hash(cfg)},{method},{comp},{budget},"
+                                f"{pipeline.fmt(float(np.median(eps)))}")
+        got = Path(cfg.out_dir, "sweep_medians.csv").read_text()
+        assert got == "\n".join(want) + "\n"
+
     def test_median_epsilon_non_increasing_for_podr(self, tmp_path):
         cfg = transient_config(
             tmp_path / "out", shot_grid=(1_000, 10_000, 100_000),

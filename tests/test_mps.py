@@ -199,6 +199,137 @@ class TestResumedTtSvd:
             tt_svd(x, 2, resume=tt_svd(x, 4).resume)
 
 
+def frozen_svd(mat):
+    """mps._svd as the frozen sweep below calls it."""
+    if mat.shape[1] > mat.shape[0]:
+        u, s, vt = np.linalg.svd(mat.T, full_matrices=False)
+        return vt.T, s, u.T
+    return np.linalg.svd(mat, full_matrices=False)
+
+
+def frozen_contract(cores, n):
+    """The tensordot contraction as first written, kept as an oracle."""
+    t = cores[0].reshape(2, -1)
+    for core in cores[1:]:
+        t = np.tensordot(t, core, axes=([t.ndim - 1], [0]))
+    flat = t.reshape(-1)
+    flat = flat / np.linalg.norm(flat)
+    return from_lsb_flat(flat, n)
+
+
+def frozen_tt_svd(x, chi_max, resume=None):
+    """The tt_svd sweep as first written, kept as an oracle: (cores, dense,
+    resume state).  It copies each carry three times; tt_svd must give the
+    same bytes with one write."""
+    n = x.size.bit_length() - 1
+    factors = None
+    if resume is None:
+        start, cores, carry = 0, [], to_lsb_flat(x / np.linalg.norm(x), n)
+    else:
+        start, cores, factors = resume.cut, list(resume.cores), resume.factors
+    left = cores[-1].shape[2] if cores else 1
+    state = None
+    for k in range(start, n - 1):
+        u, s, vt = factors or frozen_svd(carry.reshape(left * 2, -1))
+        factors = None
+        keep = max(1, int(np.sum(s > s[0] * 1e-14)))
+        if keep > chi_max and state is None:
+            state = mps._SweepState(k, chi_max, list(cores), (u, s, vt))
+        keep = min(keep, chi_max)
+        u = u[:, :keep]
+        s = s[:keep]
+        vt = vt[:keep]
+        flips = np.sign(u[np.argmax(np.abs(u), axis=0), np.arange(keep)])
+        flips[flips == 0.0] = 1.0
+        u = u * flips
+        vt = vt * flips[:, None]
+        cores.append(u.reshape(left, 2, keep))
+        carry = s[:, None] * vt
+        left = keep
+    if len(cores) < n:
+        last = carry.reshape(left, 2, 1)
+        cores.append(last / np.linalg.norm(last))
+    if state is None:
+        state = mps._SweepState(n - 1, chi_max, list(cores), None)
+    return cores, frozen_contract(cores, n), state
+
+
+def pinned_vector(kind, n, seed):
+    """A length-2^n vector: random, smooth, low-rank (a sum of two product
+    states) or sparse (three nonzero entries, so cuts have exactly zero
+    singular values)."""
+    rng = np.random.default_rng(seed)
+    if kind == "random":
+        return rng.normal(size=2**n)
+    if kind == "smooth":
+        return smooth_vector(n, seed)
+    if kind == "low-rank":
+        x = np.zeros(2**n)
+        for _ in range(2):
+            term = np.ones(1)
+            for _ in range(n):
+                term = np.kron(term, rng.normal(size=2))
+            x += term
+        return x
+    x = np.zeros(2**n)
+    x[rng.choice(2**n, size=min(3, 2**n), replace=False)] = rng.normal(size=min(3, 2**n))
+    return x
+
+
+def array_bytes(arrays):
+    return [(a.shape, a.tobytes()) for a in arrays]
+
+
+def assert_same_sweep(got, cores, dense, state):
+    assert array_bytes(got.cores) == array_bytes(cores)
+    assert contract(got).tobytes() == dense.tobytes()
+    assert (got.resume.cut, got.resume.chi_max) == (state.cut, state.chi_max)
+    assert array_bytes(got.resume.cores) == array_bytes(state.cores)
+    assert (got.resume.factors is None) == (state.factors is None)
+    if state.factors is not None:
+        assert array_bytes(got.resume.factors) == array_bytes(state.factors)
+
+
+class TestFrozenKernels:
+    @pytest.mark.parametrize("kind", ["random", "smooth", "low-rank", "sparse"])
+    @pytest.mark.parametrize("n", range(1, 13))
+    def test_same_bytes_as_the_frozen_sweep(self, kind, n):
+        x = pinned_vector(kind, n, seed=n)
+        for chi in range(1, 33):
+            want = frozen_tt_svd(x, chi)
+            got = tt_svd(x, chi)
+            assert_same_sweep(got, *want)
+            # resumed under a doubled cap, from either side's state
+            resumed = frozen_tt_svd(x, 2 * chi, resume=want[2])
+            assert_same_sweep(tt_svd(x, 2 * chi, resume=got.resume), *resumed)
+            assert_same_sweep(tt_svd(x, 2 * chi, resume=want[2]), *resumed)
+
+    def test_sparse_vector_meets_exactly_zero_singular_values(self, monkeypatch):
+        spectra = []
+        real = np.linalg.svd
+
+        def spy(*args, **kwargs):
+            result = real(*args, **kwargs)
+            spectra.append(result[1])
+            return result
+
+        monkeypatch.setattr(np.linalg, "svd", spy)
+        tt_svd(pinned_vector("sparse", 10, seed=10), 32)
+        # the cuts have rank 3 at most; most of them factor to exact zeros beyond
+        assert sum(bool(np.any(s == 0.0)) for s in spectra) >= 5
+
+    @pytest.mark.parametrize("n", [1, 2, 5, 12])
+    def test_contraction_same_bytes_as_tensordot(self, n):
+        # loaded cores are C-order copies; swept ones keep the SVD's layout
+        x = np.random.default_rng(n).normal(size=2**n)
+        for chi in (1, 3, 8, 32):
+            cores = tt_svd(x, chi).cores
+            for layout in (cores, [np.asfortranarray(c) for c in cores],
+                           [c.copy() for c in cores]):
+                assert (mps._contract_cores(layout, n).tobytes()
+                        == frozen_contract(layout, n).tobytes())
+
+
 class TestContract:
     def test_product_state_e5(self):
         e5 = np.zeros(8)

@@ -71,6 +71,67 @@ class TestBuild:
             build_snapshot_matrix([Field2D(2, 1, np.ones(2))] * 2)
 
 
+def frozen_build(fields):
+    """build_snapshot_matrix as first written (C-order), kept as an oracle."""
+    fields = list(fields)
+    data = np.empty((fields[0].nx * fields[0].ny, len(fields)))
+    for k, f in enumerate(fields):
+        data[:, k] = unit_vector(f, f"snapshot {k}")
+    return data
+
+
+def frozen_decompose(s):
+    """pod_decompose as first written (one Python pass per column), kept as
+    an oracle."""
+    u, sigma, vt = np.linalg.svd(s, full_matrices=False)
+    v = vt.T
+    for i in range(u.shape[1]):
+        lead = u[np.argmax(np.abs(u[:, i])), i]
+        if lead < 0.0:
+            u[:, i] = -u[:, i]
+            v[:, i] = -v[:, i]
+    return u, sigma, v
+
+
+def snapshot_fields(kind, n, m, seed):
+    """m snapshots of n points: random, smooth, low-rank (rank 2 plus noise)
+    or repeated (two distinct snapshots, so the matrix has rank 2)."""
+    rng = np.random.default_rng(seed)
+    x = np.linspace(0.0, 1.0, n)
+    if kind == "random":
+        cols = rng.normal(size=(m, n))
+    elif kind == "smooth":
+        cols = [sum(rng.normal() * np.cos(np.pi * k * x + rng.uniform(0.0, 6.0)) / (1 + k)
+                    for k in range(6)) for _ in range(m)]
+    elif kind == "low-rank":
+        cols = rng.normal(size=(m, 2)) @ rng.normal(size=(2, n)) + 1e-6 * rng.normal(size=(m, n))
+    else:
+        pair = rng.normal(size=(2, n))
+        cols = [pair[k % 2] * (1 + k) for k in range(m)]
+    return [Field2D(n, 1, c) for c in cols]
+
+
+class TestFrozenKernels:
+    @pytest.mark.parametrize("kind", ["random", "smooth", "low-rank", "repeated"])
+    @pytest.mark.parametrize("n,m", [(2, 1), (8, 3), (64, 7), (1024, 10), (4096, 12)])
+    def test_same_bytes_as_the_frozen_build_and_decompose(self, kind, n, m):
+        fields = snapshot_fields(kind, n, m, seed=n + m)
+        s = build_snapshot_matrix(fields)
+        want = frozen_build(fields)
+        assert s.shape == want.shape and s.tobytes() == want.tobytes()
+        basis = pod_decompose(s)
+        got = (basis.u, basis.sigma, basis.v)
+        assert [(a.shape, a.tobytes()) for a in got] == [
+            (a.shape, a.tobytes()) for a in frozen_decompose(want)]
+
+    def test_wide_matrix_same_bytes_as_the_frozen_decompose(self):
+        # more columns than rows: fewer singular vectors than snapshots
+        s = np.random.default_rng(3).normal(size=(4, 6))
+        basis = pod_decompose(s.copy())
+        assert [a.tobytes() for a in (basis.u, basis.sigma, basis.v)] == [
+            a.tobytes() for a in frozen_decompose(s.copy())]
+
+
 class TestDecompose:
     def test_duplicate_columns_rank_deficient(self):
         f = Field2D(8, 1, np.arange(1.0, 9.0))

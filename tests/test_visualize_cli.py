@@ -359,6 +359,22 @@ def test_missing_ingested_file_exits_2_naming_it(tmp_path, capsys, argv):
     assert err.startswith("error: ") and str(missing) in err
 
 
+@pytest.mark.parametrize("command", ["sweep", "readout", "visualize"])
+def test_ingested_command_reads_and_hashes_each_file_once(tmp_path, monkeypatch, command):
+    cfg_path = write_problem_config(tmp_path, "ingested")
+    assert main(["--config", str(cfg_path), "offline"]) == 0
+    paths = [str(tmp_path / "ux.pods"), str(tmp_path / "uy.pods")]
+    read, hashed = [], []
+    real_read, real_hash = flow.read_snapshot_file, pipeline.sha256_file
+    monkeypatch.setattr(flow, "read_snapshot_file",
+                        lambda path: read.append(str(path)) or real_read(path))
+    monkeypatch.setattr(pipeline, "sha256_file",
+                        lambda path: hashed.append(str(path)) or real_hash(path))
+    assert main(["--config", str(cfg_path), command]) == 0
+    assert read == paths
+    assert [p for p in hashed if p in paths] == paths
+
+
 @pytest.mark.parametrize("command", ["offline", "sweep", "visualize"])
 def test_ingested_grid_mismatch_exits_2_naming_file_and_grids(tmp_path, capsys, command):
     pairs = [transient_pair(t, 8, 32, 16, seed=1) for t in range(4)]
@@ -467,6 +483,7 @@ for command in ("offline", "sweep"):
     if main(["--config", sys.argv[1], command]) != 0:
         sys.exit(f"podr {command} failed")
 print("scipy modules:", sorted(m for m in sys.modules if m.split(".")[0].startswith("scipy")))
+print("numpy.ma imported:", "numpy.ma" in sys.modules)
 """
 
 
@@ -478,4 +495,4 @@ def test_cavity_offline_and_sweep_import_no_scipy(tmp_path):
                           capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
     assert os.path.exists(tmp_path / "out" / "sweep.csv")
-    assert proc.stdout.splitlines()[-1] == "scipy modules: []"
+    assert proc.stdout.splitlines()[-2:] == ["scipy modules: []", "numpy.ma imported: False"]
