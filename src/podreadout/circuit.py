@@ -7,17 +7,14 @@ two-qubit blocks, and fold single-qubit layers at three per CNOT.  Absolute
 depths are model-defined; only the scaling in the register size is meant to
 be compared against anything external.
 
-The module only prices circuits (plus affine_fit_r2, the line fit that
-judges depth scaling); the depth study that runs the offline stage across
-grid sizes is pipeline.run_depth_study.
+The module only prices circuits; the depth study that runs the offline
+stage across grid sizes is pipeline.run_depth_study.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-
-import numpy as np
 
 from .errors import FieldError
 from .mps import MpsVector
@@ -90,15 +87,3 @@ def cost_model(layout) -> CircuitCost:
 def circuit_cost(m: MpsVector) -> CircuitCost:
     return cost_model(staircase_layout(m))
 
-
-def affine_fit_r2(xs, ys) -> float:
-    """R^2 of the least-squares line through (xs, ys)."""
-    xs = np.asarray(xs, dtype=np.float64)
-    ys = np.asarray(ys, dtype=np.float64)
-    coef = np.polyfit(xs, ys, 1)
-    pred = np.polyval(coef, xs)
-    ss_res = float(np.sum((ys - pred) ** 2))
-    ss_tot = float(np.sum((ys - ys.mean()) ** 2))
-    if ss_tot == 0.0:
-        return 1.0
-    return 1.0 - ss_res / ss_tot

@@ -113,7 +113,7 @@ def _cmd_param_study(cfg, args):
 
 def _cmd_depth_study(cfg, args):
     sizes = None
-    if args.sizes:
+    if args.sizes is not None:
         try:
             sizes = tuple(int(s) for s in args.sizes.split(","))
         except ValueError as exc:

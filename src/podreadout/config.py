@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import numbers
 from dataclasses import asdict, dataclass
 from pathlib import Path
@@ -79,7 +80,8 @@ def _is_int(v, low=0) -> bool:
 
 
 def _is_number(v) -> bool:
-    return isinstance(v, numbers.Real) and not isinstance(v, bool)
+    """A finite real number (json.loads accepts NaN and Infinity)."""
+    return isinstance(v, numbers.Real) and not isinstance(v, bool) and math.isfinite(v)
 
 
 def _is_pow2(k) -> bool:

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import math
 import struct
+import warnings
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -355,23 +356,16 @@ def read_snapshot_file(path):
 
 def read_snapshot_csv(path) -> Field2D:
     """Read one snapshot from a CSV file laid out as ny rows by nx columns."""
-    try:
-        arr = np.loadtxt(path, delimiter=",", dtype=np.float64, ndmin=2)
-    except ValueError as exc:
-        raise SnapshotFormatError(f"{path}: not a numeric CSV grid ({exc})") from exc
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)  # an empty file is refused below
+        try:
+            arr = np.loadtxt(path, delimiter=",", dtype=np.float64, ndmin=2)
+        except ValueError as exc:
+            raise SnapshotFormatError(f"{path}: not a numeric CSV grid ({exc})") from exc
+    if arr.size == 0:
+        raise SnapshotFormatError(f"{path}: the file holds no values")
     try:
         return Field2D.from_grid(arr)
     except FieldError as exc:
         raise SnapshotFormatError(f"{path}: {exc}") from exc
-
-
-def divergence_interior(u_x: Field2D, u_y: Field2D) -> np.ndarray:
-    """Central-difference divergence at interior nodes, shape (ny-2, nx-2)."""
-    if (u_x.nx, u_x.ny) != (u_y.nx, u_y.ny):
-        raise FieldError("velocity components live on different grids")
-    dx = 1.0 / (u_x.nx - 1)
-    dy = 1.0 / (u_x.ny - 1)
-    u = u_x.grid()
-    v = u_y.grid()
-    return (u[1:-1, 2:] - u[1:-1, :-2]) / (2.0 * dx) + (v[2:, 1:-1] - v[:-2, 1:-1]) / (2.0 * dy)
 

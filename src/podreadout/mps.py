@@ -90,21 +90,15 @@ class MpsVector:
     """Tensor-train form of a unit vector plus its dense contraction.
 
     cores[k] has shape (left_k, 2, right_k) with left_0 = right_{n-1} = 1.
-    chi_max is the declared cap the cores were truncated under; actual
-    bonds may be smaller.  dense caches the unit-norm contraction, which
-    every estimator and the readout simulator share at desk scale.
-    resume, when set, lets tt_svd continue this sweep under a larger cap.
+    dense caches the unit-norm contraction, which every estimator and the
+    readout simulator share at desk scale.  resume, when set, lets tt_svd
+    continue this sweep under a larger cap.
     """
 
     n_qubits: int
     cores: list
-    chi_max: int
     dense: np.ndarray | None = None
     resume: _SweepState | None = field(default=None, repr=False, compare=False)
-
-    @property
-    def bond_dims(self) -> tuple:
-        return tuple(core.shape[2] for core in self.cores[:-1])
 
 
 def tt_svd(x, chi_max: int, resume: _SweepState | None = None) -> MpsVector:
@@ -162,7 +156,7 @@ def tt_svd(x, chi_max: int, resume: _SweepState | None = None) -> MpsVector:
     if state is None:
         state = _SweepState(n - 1, chi_max, list(cores), None)
 
-    m = MpsVector(n_qubits=n, cores=cores, chi_max=chi_max, resume=state)
+    m = MpsVector(n_qubits=n, cores=cores, resume=state)
     m.dense = _contract_cores(cores, n)
     return m
 
@@ -181,25 +175,6 @@ def contract(m: MpsVector) -> np.ndarray:
     if m.dense is None:
         m.dense = _contract_cores(m.cores, m.n_qubits)
     return m.dense
-
-
-def validate_mps(m: MpsVector) -> None:
-    """Check bond wiring, the chi cap, and the per-cut dimension bound."""
-    n = m.n_qubits
-    if len(m.cores) != n:
-        raise FieldError(f"{len(m.cores)} cores for {n} qubits")
-    if m.cores[0].shape[0] != 1 or m.cores[-1].shape[2] != 1:
-        raise FieldError("chain must start and end with bond dimension 1")
-    for k in range(n - 1):
-        r = m.cores[k].shape[2]
-        if r != m.cores[k + 1].shape[0]:
-            raise FieldError(f"bond mismatch between cores {k} and {k + 1}")
-        if r > m.chi_max:
-            raise FieldError(f"bond {k} exceeds declared chi_max {m.chi_max}")
-        if r > min(2 ** (k + 1), 2 ** (n - k - 1)):
-            raise FieldError(f"bond {k} exceeds the cut dimension bound")
-    if abs(np.linalg.norm(contract(m)) - 1.0) > 1e-10:
-        raise FieldError("contraction is not unit norm")
 
 
 @dataclass(frozen=True)
@@ -339,5 +314,4 @@ def load_mps(path) -> MpsVector:
         pos += nbytes
     if pos != len(data):
         raise SnapshotFormatError(f"{len(data) - pos} trailing bytes in MPS file")
-    chi_max = max((c.shape[2] for c in cores[:-1]), default=1)
-    return MpsVector(n_qubits=n_qubits, cores=cores, chi_max=max(chi_max, 1))
+    return MpsVector(n_qubits=n_qubits, cores=cores)

@@ -12,9 +12,8 @@ Three protocols over the same unit vector x:
 
 Every sampler is deterministic given its integer seed; the per-basis
 streams inside PODR split off the seed by basis index, and RSR and FSR share
-one frequency sampler.  An analytic mode replaces sampled quantities with
-their expectations so the shot-noise term can be isolated in tests.  A PODR
-report carries the terms of its error budget E_proj + E_enc + E_sam.
+one frequency sampler.  A PODR report carries the terms of its error
+budget E_proj + E_enc + E_sam.
 
 Each protocol takes x as a Target.  A Target checks x's norm once and
 computes what does not depend on the shots or the seed on first use, then
@@ -46,7 +45,6 @@ class ReadoutReport:
     terms (exact E_proj and E_enc, the sampling bound); RSR and FSR leave them None."""
 
     n_shot_total: int
-    estimated_coefficients: np.ndarray
     reconstruction: np.ndarray
     epsilon: float
     kept_modes: int | None = None
@@ -122,10 +120,8 @@ def _sampling_bound(beta: float, n_b: int, n_shot_total: int) -> float:
     return beta * math.sqrt(n_b / (n_shot_total // n_b))
 
 
-def _frequencies(p: np.ndarray, n_shot_total: int, seed: int, analytic: bool) -> np.ndarray:
-    """Frequencies of n_shot_total draws from p, or p itself in analytic mode."""
-    if analytic:
-        return p
+def _frequencies(p: np.ndarray, n_shot_total: int, seed: int) -> np.ndarray:
+    """Frequencies of n_shot_total draws from p."""
     if n_shot_total < 1:
         raise FieldError("need at least one shot")
     return np.random.default_rng([seed]).multinomial(n_shot_total, p) / n_shot_total
@@ -137,7 +133,6 @@ def podr_readout(
     approximants,
     n_shot_total: int,
     seed: int,
-    analytic: bool = False,
     beta: float = 2.0,
 ) -> ReadoutReport:
     """Estimate the first n_b coefficients and rebuild with the exact bases.
@@ -154,18 +149,14 @@ def podr_readout(
     n_shot_basis = n_shot_total // n_b
 
     overlaps, e_proj, e_enc = target.podr_terms(basis, approximants)
-    if analytic:
-        coeffs = overlaps.copy()
-    else:
-        p0s = np.clip(0.5 * (1.0 + overlaps), 0.0, 1.0)
-        coeffs = np.array(
-            [sample_coefficient(p0s[i], n_shot_basis, [seed, i]) for i in range(n_b)]
-        )
+    p0s = np.clip(0.5 * (1.0 + overlaps), 0.0, 1.0)
+    coeffs = np.array(
+        [sample_coefficient(p0s[i], n_shot_basis, [seed, i]) for i in range(n_b)]
+    )
 
     recon = basis.u[:, :n_b] @ coeffs
     return ReadoutReport(
         n_shot_total=n_shot_total,
-        estimated_coefficients=coeffs,
         reconstruction=recon,
         epsilon=float(np.linalg.norm(target.x - recon)),
         n_b=n_b,
@@ -180,7 +171,6 @@ def rsr_readout(
     n_shot_total: int,
     seed: int,
     sign_oracle: bool = True,
-    analytic: bool = False,
 ) -> ReadoutReport:
     """Sample grid indices from |x_j|^2 and estimate magnitudes from counts.
 
@@ -188,12 +178,11 @@ def rsr_readout(
     state, which makes this baseline optimistic.
     """
     x = target.x
-    mags = np.sqrt(_frequencies(target.probabilities, n_shot_total, seed, analytic))
+    mags = np.sqrt(_frequencies(target.probabilities, n_shot_total, seed))
     signs = np.where(x < 0.0, -1.0, 1.0) if sign_oracle else np.ones_like(x)
     recon = signs * mags
     return ReadoutReport(
         n_shot_total=n_shot_total,
-        estimated_coefficients=recon,
         reconstruction=recon,
         epsilon=float(np.linalg.norm(x - recon)),
     )
@@ -204,7 +193,6 @@ def fsr_readout(
     n_shot_total: int,
     cutoff: float,
     seed: int,
-    analytic: bool = False,
 ) -> ReadoutReport:
     """Idealized Fourier-space baseline.
 
@@ -218,29 +206,15 @@ def fsr_readout(
         raise FieldError(f"cutoff {cutoff} outside (0, 1)")
     n_pts = x.size
     q, phases = target.spectrum
-    q_hat = _frequencies(q, n_shot_total, seed, analytic)
+    q_hat = _frequencies(q, n_shot_total, seed)
     keep = q_hat > cutoff
     kept_spectrum = np.zeros(n_pts, dtype=np.complex128)
     kept_spectrum[keep] = np.sqrt(q_hat[keep]) * phases[keep]
     recon = np.real(np.fft.ifft(kept_spectrum) * math.sqrt(n_pts))
     return ReadoutReport(
         n_shot_total=n_shot_total,
-        estimated_coefficients=kept_spectrum,
         reconstruction=recon,
         epsilon=float(np.linalg.norm(x - recon)),
         kept_modes=int(keep.sum()),
     )
 
-
-def error_budget_check(report: ReadoutReport, beta: float | None = None) -> bool:
-    """Does measured epsilon respect e_proj + e_enc + the sampling bound, at
-    beta when given, else the report's own e_sam_bound?"""
-    if report.n_b is None:
-        raise FieldError("error budget checks apply to PODR reports only")
-    if beta is None:
-        bound = report.e_sam_bound
-    elif beta < 2.0:
-        raise FieldError("beta must be at least 2")
-    else:
-        bound = _sampling_bound(beta, report.n_b, report.n_shot_total)
-    return report.epsilon <= report.e_proj + report.e_enc + bound

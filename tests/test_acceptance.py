@@ -13,7 +13,6 @@ import time
 import numpy as np
 
 from conftest import median_curve, record_acceptance
-from podreadout.circuit import affine_fit_r2
 from podreadout.config import ExperimentConfig
 from podreadout.flow import Field2D, transient_pair
 from podreadout.mps import contract, tt_svd
@@ -29,9 +28,10 @@ from podreadout.pod import (
     proj_error_estimator,
     unit_vector,
 )
-from podreadout.readout import Target, error_budget_check, podr_readout
+from podreadout.readout import Target, podr_readout
 from podreadout.visualize import stream_function
 
+from oracles import affine_fit_r2, error_budget_check, noise_free_podr
 from test_mps import schmidt_truncation_fidelity
 
 
@@ -59,12 +59,11 @@ def loglog_slope(curve, floor=0.0, saturation=0.6):
     return float(np.polyfit(xs, ys, 1)[0]), len(pts)
 
 
-def analytic_floor(offline, comp, x):
+def noise_free_floor(offline, comp, x):
+    """PODR's noise-free epsilon and its floor sqrt(E_proj^2 + E_enc^2)."""
     art = offline.components[comp]
-    rep = podr_readout(
-        x, art.basis, art.approximants, art.basis.n_b, seed=0, analytic=True
-    )
-    return rep, math.sqrt(rep.e_proj**2 + rep.e_enc**2)
+    epsilon, e_proj, e_enc = noise_free_podr(x, art.basis, art.approximants)
+    return epsilon, math.sqrt(e_proj**2 + e_enc**2)
 
 
 def test_criterion_01_estimator_exactness(cavity_bases):
@@ -95,7 +94,7 @@ def test_criterion_01_estimator_exactness(cavity_bases):
 
 def test_criterion_02_sampling_error_scaling(sweep_case2, offline_case2, cavity_target):
     x = Target(unit_vector(cavity_target["ux"], "target ux"))
-    _, floor = analytic_floor(offline_case2, "ux", x)
+    _, floor = noise_free_floor(offline_case2, "ux", x)
     s_podr, k_podr = loglog_slope(
         median_curve(sweep_case2, "PODR", "ux"), floor=floor
     )
@@ -111,17 +110,10 @@ def test_criterion_02_sampling_error_scaling(sweep_case2, offline_case2, cavity_
 
 def test_criterion_03_plateau(offline_case1, sweep_case2, offline_case2, cavity_target):
     x = Target(unit_vector(cavity_target["ux"], "target ux"))
-    rep, floor = analytic_floor(offline_case1, "ux", x)
-    gap = abs(rep.epsilon - floor)
-    # analytic mode stands in for the infinite-shot limit
-    art1 = offline_case1.components["ux"]
-    big = (10**8 // art1.basis.n_b) * art1.basis.n_b
-    rep_big = podr_readout(
-        x, art1.basis, art1.approximants, big, seed=0, analytic=True
-    )
-    gap = max(gap, abs(rep_big.epsilon - floor))
+    epsilon, floor = noise_free_floor(offline_case1, "ux", x)
+    gap = abs(epsilon - floor)
     meds = [e for _, e in median_curve(sweep_case2, "PODR", "ux")]
-    _, floor2 = analytic_floor(offline_case2, "ux", x)
+    _, floor2 = noise_free_floor(offline_case2, "ux", x)
     monotone = all(a >= b for a, b in zip(meds, meds[1:]))
     above = all(m >= floor2 for m in meds)
     report(

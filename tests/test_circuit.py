@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from podreadout.circuit import (
-    affine_fit_r2,
     block_depth,
     block_two_qubit_count,
     circuit_cost,
@@ -13,6 +12,8 @@ from podreadout.config import ExperimentConfig
 from podreadout.errors import ConfigError, FieldError
 from podreadout.mps import tt_svd
 from podreadout.pipeline import run_depth_study
+
+from oracles import affine_fit_r2, bond_dims
 
 
 def random_mps(n, chi, seed=0):
@@ -48,7 +49,7 @@ class TestLayout:
             for _, qs in layout:
                 union |= set(qs)
             assert union == set(range(n))
-            bonds = m.bond_dims
+            bonds = bond_dims(m)
             for k in range(len(layout) - 1):
                 overlap = len(set(layout[k][1]) & set(layout[k + 1][1]))
                 assert overlap >= int(np.ceil(np.log2(bonds[k])))

@@ -147,6 +147,12 @@ class TestConfig:
         for w in workloads.WORKLOADS.values():
             config_from_dict(workloads.generate(w, 1, "out"))
 
+    def test_shipped_config_hashes_stay_put(self):
+        # the hash keys every stored offline artifact; validation never converts a value
+        root = Path(__file__).resolve().parents[1] / "configs"
+        assert config_hash(load_config(root / "transient_case1.json")) == "c7782eb27b57f1a9"
+        assert config_hash(load_config(root / "cavity_case1.json")) == "a7f0574663fc19bf"
+
 
 TRANSIENT_DOC = dict(problem="transient", nx=16, ny=16, window=[0, 5], period=8,
                      target_step=7, chi_cap=8, shot_grid=[500], seeds=[0])
@@ -169,6 +175,10 @@ BAD_VALUES = [
     (TRANSIENT_DOC, "chi_cap", True, "offline"),
     (INGESTED_DOC, "target_index", "2", "offline"),
     (INGESTED_DOC, "target_index", 2.5, "offline"),
+    # json.loads reads NaN, Infinity and -Infinity; json.dumps writes them back
+    *[(TRANSIENT_DOC, key, value, "sweep")
+      for key in ("beta", "lid_speed", "solver_tol", "fsr_cutoff")
+      for value in (float("nan"), float("inf"), float("-inf"))],
 ]
 
 

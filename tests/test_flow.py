@@ -12,7 +12,6 @@ from podreadout.cli import main
 from podreadout.errors import ConvergenceError, FieldError, SnapshotFormatError
 from podreadout.flow import (
     Field2D,
-    divergence_interior,
     ladder_below,
     read_snapshot_csv,
     read_snapshot_file,
@@ -22,6 +21,7 @@ from podreadout.flow import (
 )
 from podreadout.pipeline import FieldCache
 
+from oracles import divergence_interior
 from test_visualize_cli import write_problem_config
 
 TOL = 1e-6

@@ -1,5 +1,8 @@
+import importlib
+import inspect
 import json
 import os
+import pkgutil
 import struct
 import subprocess
 import sys
@@ -225,6 +228,13 @@ class TestCli:
         cfg_path = write_config(tmp_path, **({} if sizes else {"grid_sizes": []}))
         argv = ["--config", str(cfg_path), "depth-study", *(["--sizes", sizes] if sizes else [])]
         assert_config_error(tmp_path, capsys, argv)
+
+    def test_depth_study_empty_sizes_exit_code(self, tmp_path, capsys):
+        # an empty flag is not the missing flag: the config's grid_sizes stay unused,
+        # and no depth_study.csv is written
+        cfg_path = write_config(tmp_path)
+        assert_config_error(tmp_path, capsys, ["--config", str(cfg_path), "depth-study",
+                                               "--sizes", ""])
 
     @pytest.mark.parametrize("sizes", ["1024,256", None])
     def test_depth_study_size_below_chi_cap_exits_2_before_any_solve(
@@ -456,6 +466,15 @@ def test_ingest_of_a_non_finite_value_exits_2_naming_it(tmp_path, capsys, form):
     assert not (tmp_path / "x.pods").exists()
 
 
+def test_ingest_of_an_empty_csv_exits_2_naming_it(tmp_path, capsys, recwarn):
+    empty = tmp_path / "empty.csv"
+    empty.write_text("")
+    assert main(["ingest", str(empty), "--to", str(tmp_path / "x.pods")]) == 2
+    assert capsys.readouterr().err == f"error: {empty}: the file holds no values\n"
+    assert [str(w.message) for w in recwarn] == []
+    assert not (tmp_path / "x.pods").exists()
+
+
 def test_ingested_target_with_an_infinite_norm_names_the_target(tmp_path, capsys, recwarn):
     cfg_path = write_problem_config(tmp_path, "ingested")
     fields = read_snapshot_file(tmp_path / "ux.pods")
@@ -496,3 +515,59 @@ def test_cavity_offline_and_sweep_import_no_scipy(tmp_path):
     assert proc.returncode == 0, proc.stderr
     assert os.path.exists(tmp_path / "out" / "sweep.csv")
     assert proc.stdout.splitlines()[-2:] == ["scipy modules: []", "numpy.ma imported: False"]
+
+
+def public_code(package):
+    """{name: code object} of every public function, method and property
+    defined in the package's modules (dataclass dunders are not public)."""
+    found = {}
+    for info in pkgutil.iter_modules(package.__path__):
+        if info.name == "__main__":  # importing it runs the CLI
+            continue
+        module = importlib.import_module(f"{package.__name__}.{info.name}")
+        for name, obj in vars(module).items():
+            if name.startswith("_") or getattr(obj, "__module__", None) != module.__name__:
+                continue
+            members = vars(obj).items() if inspect.isclass(obj) else [("", obj)]
+            for attr, member in members:
+                # a property's getter, a cached_property's or classmethod's function,
+                # or the function itself
+                fn = (getattr(member, "fget", None) or getattr(member, "func", None)
+                      or getattr(member, "__func__", member))
+                if not attr.startswith("_") and inspect.isfunction(fn):
+                    found[".".join(filter(None, (info.name, name, attr)))] = fn.__code__
+    return found
+
+
+def test_every_public_function_in_src_is_run_by_a_command(tmp_path):
+    """src/ holds only what a command runs: every subcommand on a tiny config of
+    each problem kind, plus both forms of ingest, calls each public function."""
+    called = set()
+
+    def profile(frame, event, arg):
+        if event == "call":
+            called.add(frame.f_code)
+
+    runs = []
+    for problem in ("transient", "cavity", "ingested"):
+        (tmp_path / problem).mkdir()
+        cfg_path = write_problem_config(tmp_path / problem, problem)
+        for study, argv in STUDIES.items():
+            if study == "depth-study":
+                argv = ["depth-study", "--sizes", "256"]
+            blocked = problem == "ingested" and study in ("param-study", "depth-study")
+            runs.append((["--config", str(cfg_path), *argv], 2 if blocked else 0))
+    ux, _ = transient_pair(0, 8, 16, 8, seed=2)
+    write_grid_csv(ux, tmp_path / "a.csv")
+    pods = str(tmp_path / "a.pods")
+    runs += [(["ingest", str(tmp_path / "a.csv"), "--to", pods], 0), (["ingest", pods], 0)]
+
+    sys.setprofile(profile)
+    try:
+        codes = [main(argv) for argv, _ in runs]
+    finally:
+        sys.setprofile(None)
+    assert codes == [code for _, code in runs]
+    unreached = sorted(name for name, code in public_code(podreadout).items()
+                       if code not in called)
+    assert unreached == []
