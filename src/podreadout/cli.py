@@ -91,10 +91,13 @@ def _cmd_readout(cfg, args):
     shots = _check_shots(args.shots) if args.shots is not None else cfg.shot_grid[0]
     prob = pipeline.problem_of(cfg)
     offline = pipeline.run_offline(cfg, prob)
-    for comp, method, _, _, rep in pipeline.readouts(cfg, offline, prob.targets(), (shots,),
-                                                     cfg.seeds[:1]):
+
+    def line(comp, method, n_shot, seed, rep):
         label = visualize.METHOD_LABELS.get(method, method)
-        print(f"{label:16s} {comp}: epsilon={rep.epsilon:.4e} (shots={rep.n_shot_total})")
+        return f"{label:16s} {comp}: epsilon={rep.epsilon:.4e} (shots={rep.n_shot_total})"
+
+    for text in pipeline.readouts(cfg, offline, prob.targets(), (shots,), cfg.seeds[:1], line):
+        print(text)
     return 0
 
 
@@ -136,8 +139,9 @@ def _cmd_visualize(cfg, args):
     targets = prob.targets()
     reports = {}
     # a copy: readouts pops each target, and the truth panels read targets[c].x
-    for comp, method, _, _, rep in pipeline.readouts(cfg, offline, dict(targets), (shots,),
-                                                     cfg.seeds[:1]):
+    for comp, method, rep in pipeline.readouts(
+            cfg, offline, dict(targets), (shots,), cfg.seeds[:1],
+            lambda comp, method, n_shot, seed, rep: (comp, method, rep)):
         reports.setdefault(method, {})[comp] = rep
     written = visualize.emit_visual_comparison(cfg, reports, targets)
     print(f"wrote {len(written)} panel files under {cfg.out_dir}")

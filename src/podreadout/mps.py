@@ -17,7 +17,10 @@ matrix from the same one-row products, so the accepted trial's score is the
 estimate itself and the estimator runs once per search, for the starting
 plan.  Each sweep remembers the first cut its cap truncated, together with
 that cut's factorization, so the doubled compression resumes there without
-factoring it again: every earlier cut is the same under chi and 2 chi.
+factoring it again: every earlier cut is the same under chi and 2 chi.  Once
+a compression's overlap row is taken its dense contraction is dropped, so the
+search holds no 2^n-entry vector per basis or trial, and its approximants
+leave with dense unset.
 
 A wide cut (more columns than rows, as in the first half of the sweep) is
 factored as the SVD of its transpose.  numpy hands a wide C-order matrix to
@@ -90,9 +93,10 @@ class MpsVector:
     """Tensor-train form of a unit vector plus its dense contraction.
 
     cores[k] has shape (left_k, 2, right_k) with left_0 = right_{n-1} = 1.
-    dense caches the unit-norm contraction, which every estimator and the
-    readout simulator share at desk scale.  resume, when set, lets tt_svd
-    continue this sweep under a larger cap.
+    dense caches the unit-norm contraction: tt_svd sets it, search_bond_plan
+    drops it once it has the overlap row, load_mps leaves it unset, and
+    contract() fills it again with the same bits.  resume, when set, lets
+    tt_svd continue this sweep under a larger cap.
     """
 
     n_qubits: int
@@ -230,7 +234,8 @@ def search_bond_plan(basis: PodBasisSet, threshold: float, chi_cap: int):
     overlap matrix, the matrix enc_error_estimator builds row by row, so the
     accepted trial's score is the new estimate: the estimator runs once, for
     the starting plan.  A doubling resumes the sweep of the current
-    approximant, which then drops its resume state.
+    approximant, which then drops its resume state.  The approximants
+    returned have neither resume state nor dense set.
     """
     if threshold <= 0:
         raise FieldError("threshold must be positive")
@@ -249,6 +254,8 @@ def search_bond_plan(basis: PodBasisSet, threshold: float, chi_cap: int):
     # every row comes from the same one-row product, so equal approximants
     # score equal and ties still go to the lowest index
     rows = np.stack([contract(a) @ u for a in approx])  # rows[i, j] = <approx_i, u_j>
+    for a in approx:
+        a.dense = None  # contract() recomputes the same bits on demand
     trials = [None] * n_b  # (compression at 2 chis[i], its overlap row)
     while est > threshold:
         best = None
@@ -259,6 +266,7 @@ def search_bond_plan(basis: PodBasisSet, threshold: float, chi_cap: int):
                 trial = tt_svd(basis.u[:, i], chis[i] * 2, resume=approx[i].resume)
                 approx[i].resume = None
                 trials[i] = (trial, contract(trial) @ u)
+                trial.dense = None
             candidate = rows.copy()
             candidate[i] = trials[i][1]
             e = _estimate(candidate, s)

@@ -14,6 +14,9 @@ run on each component's basis.  run_offline persists (or reloads) its results,
 run_depth_study repeats it across grid sizes and run_param_study reads the
 same bases.  readouts is the one loop over readout cells (component, method,
 budget, seed): the sweep, `podr readout` and `podr visualize` all use it.
+run_offline's bond searches and readouts' cells run ux on the calling thread
+and uy on one worker thread (_on_two_threads), then log, write and raise in
+ux, uy order; pod_bases and run_depth_study stay serial.
 harmonized_shots is the one rule that fits a shot budget to basis counts:
 to a PODR cell's n_b in run_cell, to both components' in `podr visualize`.
 
@@ -34,6 +37,7 @@ import json
 import logging
 import math
 import os
+import threading
 from dataclasses import dataclass, replace
 from typing import Callable
 from pathlib import Path
@@ -179,10 +183,18 @@ class Problem:
                 for comp, f in zip(COMPONENTS, pair)}
 
 
-def problem_of(cfg: ExperimentConfig, cache: FieldCache | None = None) -> Problem:
+def problem_of(cfg: ExperimentConfig, cache: FieldCache | None = None,
+               no_axis_error: str | None = None) -> Problem:
     """The Problem a config describes; ingested snapshot files are read here.
-    Cavity fields come from cache, by default the config's own <out_dir>/fields."""
+    Cavity fields come from cache, by default the config's own <out_dir>/fields.
+
+    no_axis_error, given by a study that needs a parameter axis, is the
+    ConfigError a problem without one (ingested snapshots) raises before any
+    file is read.
+    """
     if cfg.problem == "ingested":
+        if no_axis_error is not None:
+            raise ConfigError(no_axis_error)
         # hashed before reading: a rewrite never goes unseen by offline reuse
         digests = {"ux": sha256_file(cfg.snapshot_ux), "uy": sha256_file(cfg.snapshot_uy)}
         ux_all, uy_all = map(flow.read_snapshot_file, (cfg.snapshot_ux, cfg.snapshot_uy))
@@ -249,6 +261,32 @@ def pod_bases(prob: Problem) -> dict:
             raise FieldError(f"component {comp}: {exc}") from exc
     del ux, uy, fields
     return {comp: pod.pod_decompose(mats.pop(comp)) for comp in COMPONENTS}
+
+
+def _on_two_threads(work) -> list:
+    """[(work(comp), None), or (None, the exception it raised), for comp in COMPONENTS].
+
+    ux runs on the calling thread while one worker thread runs uy: after the
+    POD nothing couples the components, and numpy releases the GIL in their
+    SVDs, products, draws and FFTs, so two cores overlap.  The outcomes come
+    back in COMPONENTS order after the join, so the caller logs, writes and
+    raises the first failure as a ux-then-uy loop would.
+    """
+    outcomes = {}
+
+    def run(comp):
+        try:
+            outcomes[comp] = (work(comp), None)
+        except Exception as exc:  # handed back to the caller, in COMPONENTS order
+            outcomes[comp] = (None, exc)
+
+    worker = threading.Thread(target=run, args=(COMPONENTS[1],))
+    worker.start()
+    try:
+        run(COMPONENTS[0])
+    finally:
+        worker.join()
+    return [outcomes[comp] for comp in COMPONENTS]
 
 
 @dataclass
@@ -344,13 +382,15 @@ def run_offline(cfg: ExperimentConfig, prob: Problem | None = None) -> OfflineRe
     if prob.digests is not None:
         manifest["snapshot_sha256"] = prob.digests
     bases = pod_bases(prob)
+    outcomes = _on_two_threads(
+        lambda comp: offline_component(bases[comp], cfg.thresholds, cfg.chi_cap))
 
     components = {}
-    for comp in COMPONENTS:
-        try:
-            art = offline_component(bases[comp], cfg.thresholds, cfg.chi_cap)
-        except NumericalError as exc:
+    for comp, (art, exc) in zip(COMPONENTS, outcomes):
+        if isinstance(exc, NumericalError):
             raise NumericalError(f"offline stage, component {comp}: {exc}") from exc
+        if exc is not None:
+            raise exc
         components[comp] = art
         names = _component_files(comp, art.basis.n_b)
         pod.save_basis(art.basis, os.path.join(out_dir, names[0]))
@@ -386,30 +426,44 @@ def run_cell(cfg, offline, target, comp, method, n_shot, seed):
     cell = _cell_seed(seed, COMPONENTS.index(comp), METHODS.index(method), n_shot)
     art = offline.components[comp]
     if method == "PODR":
-        shots = harmonized_shots(n_shot, [art.basis.n_b])
-        if shots != n_shot:
-            log.info("PODR budget %d rounded to %d, a multiple of n_b=%d (%s)",
-                     n_shot, shots, art.basis.n_b, comp)
-        return readout.podr_readout(target, art.basis, art.approximants, shots, cell,
+        return readout.podr_readout(target, art.basis, art.approximants,
+                                    harmonized_shots(n_shot, [art.basis.n_b]), cell,
                                     beta=cfg.beta)
     if method == "RSR":
         return readout.rsr_readout(target, n_shot, cell, sign_oracle=cfg.sign_oracle)
     return readout.fsr_readout(target, n_shot, cfg.fsr_cutoff, cell)
 
 
-def readouts(cfg, offline, targets, budgets, seeds):
-    """Yield (comp, method, n_shot, seed, report) for every readout cell: per
-    component, product(cfg.methods, budgets, seeds).
+def readouts(cfg, offline, targets, budgets, seeds, keep):
+    """Yield keep(comp, method, n_shot, seed, report) for every readout cell:
+    per component, product(cfg.methods, budgets, seeds).
 
-    Each component's readout.Target is popped from targets before its cells
-    and dropped after them.  No report is bound here, so a caller that drops
-    each report frees its 2^n-entry arrays before the next cell runs.
+    ux's cells run on the calling thread and uy's on one worker thread
+    (_on_two_threads).  Each thread pops its component's readout.Target from
+    targets, drops it after its cells and keeps only keep's value of each
+    report, so a report's 2^n-entry arrays outlive its cell only if keep holds
+    them.  The values are yielded after the join in cell order, each after its
+    cell's "PODR budget ... rounded" line; a failed cell raises its exception
+    in its place.
     """
-    for comp in COMPONENTS:
+    cells = list(itertools.product(cfg.methods, budgets, seeds))
+    kept = {comp: [] for comp in COMPONENTS}
+
+    def work(comp):
         target = targets.pop(comp)
-        for method, n_shot, seed in itertools.product(cfg.methods, budgets, seeds):
-            yield (comp, method, n_shot, seed,
-                   run_cell(cfg, offline, target, comp, method, n_shot, seed))
+        for cell in cells:
+            kept[comp].append(keep(comp, *cell, run_cell(cfg, offline, target, comp, *cell)))
+
+    for comp, (_, exc) in zip(COMPONENTS, _on_two_threads(work)):
+        n_b = offline.components[comp].basis.n_b
+        for k, (method, n_shot, _) in enumerate(cells):
+            shots = harmonized_shots(n_shot, [n_b]) if method == "PODR" else n_shot
+            if shots != n_shot:
+                log.info("PODR budget %d rounded to %d, a multiple of n_b=%d (%s)",
+                         n_shot, shots, n_b, comp)
+            if k == len(kept[comp]):
+                raise exc
+            yield kept[comp][k]
 
 
 def _median(values) -> float:
@@ -429,18 +483,21 @@ def run_shot_sweep(cfg: ExperimentConfig, offline: OfflineResult,
     """
     targets = (problem_of(cfg) if prob is None else prob).targets()
     h = config_hash(cfg)
-    rows, eps = [], {}
-    for comp, method, n_shot, seed, rep in readouts(cfg, offline, targets,
-                                                    cfg.shot_grid, cfg.seeds):
-        rows.append({
+
+    def row(comp, method, n_shot, seed, rep):
+        return {
             "config_hash": h, "method": method, "component": comp, "N": cfg.grid_points,
             "n_shot_requested": n_shot, "n_shot_total": rep.n_shot_total,
             "n_b": rep.n_b or 0, "seed": seed, "epsilon": rep.epsilon, "e_proj": rep.e_proj,
             "e_enc": rep.e_enc, "e_sam_bound": rep.e_sam_bound, "kept_modes": rep.kept_modes,
             "wall_ms": 0,
-        })
-        eps.setdefault((comp, method, n_shot), []).append(rep.epsilon)
-        del rep  # free its 2^n-entry arrays before the next cell allocates its own
+        }
+
+    rows = list(readouts(cfg, offline, targets, cfg.shot_grid, cfg.seeds, row))
+    eps = {}
+    for r in rows:
+        eps.setdefault((r["component"], r["method"], r["n_shot_requested"]), []).append(
+            r["epsilon"])
     medians = [
         {"config_hash": h, "method": method, "component": comp, "n_shot_total": n_shot,
          "median_epsilon": _median(eps[comp, method, n_shot])}
@@ -454,11 +511,8 @@ def run_shot_sweep(cfg: ExperimentConfig, offline: OfflineResult,
 
 def run_param_study(cfg: ExperimentConfig, cache: FieldCache | None = None):
     """Exact projection error across a parameter sweep at both case settings."""
-    prob = problem_of(cfg, cache)
-    if prob.axis is None:
-        raise ConfigError(
-            "param-study needs a parameter axis; ingested snapshots have none"
-        )
+    prob = problem_of(cfg, cache, no_axis_error=(
+        "param-study needs a parameter axis; ingested snapshots have none"))
     bases = pod_bases(prob)
     h = config_hash(cfg)
     nbs = {
@@ -503,11 +557,9 @@ def run_depth_study(cfg: ExperimentConfig, cache: FieldCache | None = None,
     on coarse grids the greedy plan can leave the last basis cheaper than an
     earlier one.  Writes depth_study.csv into cfg.out_dir.
     """
-    if problem_of(cfg, cache).axis is None:
-        raise ConfigError(
-            "depth-study re-solves the ensemble on each grid size; "
-            "ingested snapshots exist at one grid only"
-        )
+    problem_of(cfg, cache, no_axis_error=(
+        "depth-study re-solves the ensemble on each grid size; "
+        "ingested snapshots exist at one grid only"))
     sizes = tuple(grid_sizes) if grid_sizes is not None else cfg.grid_sizes
     # each grid's config is checked (side, chi_cap, repeated sizes) before any solve
     grids = [validate_config(replace(cfg, nx=side, ny=side, grid_sizes=sizes))

@@ -4,6 +4,7 @@ import json
 import logging
 import os
 import sys
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -385,11 +386,13 @@ class TestSweep:
         n_bs = [art.basis.n_b for art in offline.components.values()]
         calls = {"fft": 0, "contract": 0, "stack": 0}
         fft, contract, stack = np.fft.fft, readout.contract, np.stack
+        lock = threading.Lock()  # both components' readouts run at once
 
         def counted(name, fn, only_from=None):
             def spy(*args, **kwargs):
                 if only_from is None or sys._getframe(1).f_globals["__name__"] == only_from:
-                    calls[name] += 1
+                    with lock:
+                        calls[name] += 1
                 return fn(*args, **kwargs)
             return spy
 

@@ -545,6 +545,16 @@ class TestBondSearch:
         assert len(calls) == 1
         assert plan.estimated_error.hex() == enc_error_estimator(basis, apx).hex()
 
+    @pytest.mark.parametrize("kind,drop", [("random", 0.9), ("smooth", 1e-3),
+                                           ("low-rank", 1e-3)])
+    def test_approximants_leave_without_dense_and_contract_to_fresh_bytes(self, kind, drop):
+        basis = mixed_basis(10, 5, kind, 3, 4)
+        start = enc_error_estimator(basis, [tt_svd(basis.u[:, i], 1) for i in range(4)])
+        plan, apx = search_bond_plan(basis, start * drop, 16)
+        assert all(a.dense is None for a in apx)
+        for i, (a, chi) in enumerate(zip(apx, plan.chis)):
+            assert contract(a).tobytes() == tt_svd(basis.u[:, i], chi).dense.tobytes()
+
     def test_huge_threshold_keeps_all_chis_one(self):
         basis = random_basis(64, 4, seed=11, n_b=3)
         plan, apx = search_bond_plan(basis, threshold=10.0, chi_cap=8)

@@ -1,6 +1,7 @@
 import importlib
 import inspect
 import json
+import logging
 import os
 import pkgutil
 import struct
@@ -14,6 +15,7 @@ import podreadout
 from podreadout import flow, pipeline
 from podreadout.cli import main
 from podreadout.config import ExperimentConfig
+from podreadout.errors import NumericalError
 from podreadout.flow import (
     SNAPSHOT_MAGIC,
     SNAPSHOT_VERSION,
@@ -24,6 +26,7 @@ from podreadout.flow import (
     write_snapshot_file,
 )
 from podreadout.pipeline import harmonized_shots, problem_of, run_offline
+from podreadout.pod import load_basis
 from podreadout.visualize import (
     emit_visual_comparison,
     stream_function,
@@ -383,6 +386,121 @@ def test_ingested_command_reads_and_hashes_each_file_once(tmp_path, monkeypatch,
     assert main(["--config", str(cfg_path), command]) == 0
     assert read == paths
     assert [p for p in hashed if p in paths] == paths
+
+
+NO_AXIS = {
+    "param-study": "param-study needs a parameter axis; ingested snapshots have none",
+    "depth-study": "depth-study re-solves the ensemble on each grid size; "
+                   "ingested snapshots exist at one grid only",
+}
+
+
+@pytest.mark.parametrize("study", NO_AXIS)
+def test_ingested_study_refuses_before_any_read_or_hash(tmp_path, capsys, monkeypatch, study):
+    cfg_path = write_problem_config(tmp_path, "ingested")
+    read, hashed = [], []
+    real_read, real_hash = flow.read_snapshot_file, pipeline.sha256_file
+    monkeypatch.setattr(flow, "read_snapshot_file",
+                        lambda path: read.append(str(path)) or real_read(path))
+    monkeypatch.setattr(pipeline, "sha256_file",
+                        lambda path: hashed.append(str(path)) or real_hash(path))
+    assert main(["--config", str(cfg_path), *STUDIES[study]]) == 2
+    assert capsys.readouterr().err == f"error: {NO_AXIS[study]}\n"
+    assert (read, hashed) == ([], [])
+
+
+class SerialThread:
+    """threading.Thread stand-in that runs its target in join(): the worker's
+    component then runs after the caller's, as a ux-then-uy loop runs them."""
+
+    def __init__(self, target, args=()):
+        self.target, self.args = target, args
+
+    def start(self):
+        pass
+
+    def join(self):
+        self.target(*self.args)
+
+
+@pytest.fixture(scope="module")
+def cavity_32(tmp_path_factory):
+    """A 32x32 cavity config (n_b = 3 for both components, so 1000- and
+    10000-shot PODR cells are rounded) whose offline artifacts and target
+    field are stored."""
+    tmp_path = tmp_path_factory.mktemp("cavity_32")
+    cfg_path = write_config(tmp_path, problem="cavity", nx=32, ny=32,
+                            reynolds=[100, 200, 300, 400], target_reynolds=250,
+                            chi_cap=16, shot_grid=[1000, 10000], seeds=[0, 1])
+    assert main(["--config", str(cfg_path), "readout"]) == 0
+    assert [e["n_b"] for e in json.loads(
+        (tmp_path / "out" / "manifest.json").read_text())["components"].values()] == [3, 3]
+    return cfg_path
+
+
+@pytest.mark.parametrize("argv", [["offline"], ["sweep"], ["readout"],
+                                  ["visualize", "--shots", "1000"]])
+def test_verbose_stderr_is_the_serial_line_sequence(cavity_32, caplog, capsys, monkeypatch,
+                                                    argv):
+    """-v lines and stdout of a threaded command equal those of a serial run,
+    five times over: the readouts log from the caller, in cell order."""
+    caplog.set_level(logging.INFO, logger="podreadout")
+    out = cavity_32.parent / "out"
+
+    def run():
+        if argv == ["offline"]:
+            (out / "manifest.json").unlink()  # rebuild, from the stored fields
+        caplog.clear()
+        assert main(["-v", "--config", str(cavity_32), *argv]) == 0
+        return ([f"{r.levelname} {r.getMessage()}" for r in caplog.records],
+                capsys.readouterr().out)
+
+    with monkeypatch.context() as m:
+        m.setattr(pipeline.threading, "Thread", SerialThread)
+        serial = run()
+    if argv[0] in ("sweep", "readout"):
+        comps = [line[-3:-1] for line in serial[0] if "PODR budget" in line]
+        assert comps and comps == ["ux"] * (len(comps) // 2) + ["uy"] * (len(comps) // 2)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)  # switch threads often, so a stray worker line interleaves
+    try:
+        for _ in range(5):
+            assert run() == serial
+    finally:
+        sys.setswitchinterval(interval)
+
+
+@pytest.mark.parametrize("failing, named", [(("uy",), "uy"), (("ux", "uy"), "ux")])
+def test_offline_raises_the_first_failing_component(tmp_path, capsys, monkeypatch,
+                                                    failing, named):
+    """As in a ux-then-uy loop: ux's artifacts are written before uy's failure
+    is raised, and no manifest is written."""
+    cfg_path = write_config(tmp_path)
+    bases = {}
+    real_bases, real_component = pipeline.pod_bases, pipeline.offline_component
+
+    def recorded_bases(prob):
+        bases.update(real_bases(prob))
+        return bases
+
+    def component(basis, *args):
+        comp = next(c for c, b in bases.items() if b is basis)
+        if comp in failing:
+            raise NumericalError(f"no plan for {comp}")
+        return real_component(basis, *args)
+
+    monkeypatch.setattr(pipeline, "pod_bases", recorded_bases)
+    monkeypatch.setattr(pipeline, "offline_component", component)
+    assert main(["--config", str(cfg_path), "offline"]) == 3
+    assert capsys.readouterr().err == (
+        f"numerical failure: offline stage, component {named}: no plan for {named}\n")
+    out = tmp_path / "out"
+    written = sorted(p.name for p in out.iterdir())
+    if named == "ux":
+        assert written == []
+    else:
+        n_b = load_basis(out / "ux_basis.podb").n_b
+        assert written == pipeline._component_files("ux", n_b)
 
 
 @pytest.mark.parametrize("command", ["offline", "sweep", "visualize"])
