@@ -5,7 +5,9 @@
 
 Runs solve, offline, sweep, param-study, readout --shots 10000,
 visualize --shots 10000 and depth-study (with --sizes when given) on CONFIG,
-each as its own `python -m podreadout` process writing into OUT, and prints
+each as its own `python -m podreadout` process writing into OUT, then
+--help and one usage error (readout --shots ten), which exit while parsing
+the arguments, and prints
 `sha256  relpath` for every file under OUT (fields/ and visual/ included),
 then one `sha256  stdout:COMMAND exit=CODE` line per command and one
 `sha256  stderr:COMMAND exit=CODE` line per command, with OUT masked in both
@@ -48,7 +50,8 @@ def main(argv=None) -> int:
         env.setdefault(var, "1")
     commands = [["solve"], ["offline"], ["sweep"], ["param-study"],
                 ["readout", "--shots", "10000"], ["visualize", "--shots", "10000"],
-                ["depth-study", *(["--sizes", args.sizes] if args.sizes else [])]]
+                ["depth-study", *(["--sizes", args.sizes] if args.sizes else [])],
+                ["--help"], ["readout", "--shots", "ten"]]
     streams = {"stdout": [], "stderr": []}
     for command in commands:
         proc = subprocess.run(

@@ -30,18 +30,25 @@ def stream_function(u_x: Field2D) -> Field2D:
 
 
 def write_grid_csv(field: Field2D, path) -> None:
-    rows = [",".join(fmt(v) for v in row) for row in field.grid()]
+    rows = [",".join(map(fmt, row)) for row in field.grid().tolist()]
     atomic_write_text(path, "\n".join(rows) + "\n")
 
 
-def _diverging_color(t: float) -> str:
-    """Map t in [-1, 1] to a blue-white-red hex color."""
-    t = max(-1.0, min(1.0, t))
-    if t < 0:
-        r, g, b = 1.0 + t, 1.0 + t, 1.0
-    else:
-        r, g, b = 1.0, 1.0 - t, 1.0 - t
-    return f"#{int(255 * r):02x}{int(255 * g):02x}{int(255 * b):02x}"
+# blue to white for t < 0, then white to red: entry k + 256 * (t >= 0)
+_PALETTE = np.array([f"#{k:02x}{k:02x}ff" for k in range(256)]
+                    + [f"#ff{k:02x}{k:02x}" for k in range(256)])
+
+
+def _diverging_colors(t: np.ndarray) -> np.ndarray:
+    """Map t, clipped to [-1, 1], to blue-white-red hex colors elementwise.
+
+    The channel that fades is int(255 * (1 + t)) below zero and
+    int(255 * (1 - t)) from zero up (-0.0 included), white at t = 0.
+    """
+    t = np.fmax(np.fmin(t, 1.0), -1.0)  # like max(-1, min(1, t)): NaN goes to 1
+    warm = t >= 0
+    fade = np.where(warm, 1.0 - t, 1.0 + t)
+    return _PALETTE[(255 * fade).astype(np.intp) + 256 * warm]
 
 
 def svg_heatmap(field: Field2D, path, title: str = "") -> None:
@@ -55,14 +62,12 @@ def svg_heatmap(field: Field2D, path, title: str = "") -> None:
         f'height="{height + 20}" viewBox="0 0 {width} {height + 20}">',
         f'<text x="4" y="14" font-family="monospace" font-size="12">{title}</text>',
     ]
-    for j in range(field.ny):
+    for j, row in enumerate(_diverging_colors(g / scale).tolist()):
         y = 20 + (field.ny - 1 - j) * cell
-        for i in range(field.nx):
-            color = _diverging_color(g[j, i] / scale)
-            parts.append(
-                f'<rect x="{i * cell}" y="{y}" width="{cell}" height="{cell}" '
-                f'fill="{color}"/>'
-            )
+        parts.extend(
+            f'<rect x="{i * cell}" y="{y}" width="{cell}" height="{cell}" fill="{color}"/>'
+            for i, color in enumerate(row)
+        )
     parts.append("</svg>")
     atomic_write_text(path, "\n".join(parts) + "\n")
 

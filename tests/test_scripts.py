@@ -12,7 +12,9 @@ TINY_TRANSIENT = dict(problem="transient", nx=16, ny=16, window=[0, 5], period=8
 TINY_CAVITY = dict(problem="cavity", nx=16, ny=16, reynolds=[100, 200], target_reynolds=150,
                    chi_cap=8, shot_grid=[500], seeds=[0])
 COMMANDS = ["solve", "offline", "sweep", "param-study", "readout --shots 10000",
-            "visualize --shots 10000", "depth-study --sizes 256"]
+            "visualize --shots 10000", "depth-study --sizes 256",
+            "--help", "readout --shots ten"]
+USAGE_ERROR = "readout --shots ten"  # exits 2 while parsing, on any config
 EMPTY = hashlib.sha256(b"").hexdigest()  # the digest of a silent stderr
 
 
@@ -45,7 +47,7 @@ def test_output_digests_lists_every_file_and_command(tmp_path):
     cfg.write_text(json.dumps(TINY_TRANSIENT))
     printout, files, exits = digests(cfg, tmp_path / "out")
     assert "visual/PODR_psi.svg" in files
-    assert set(exits.values()) == {"0"}
+    assert exits == {c: "2" if c == USAGE_ERROR else "0" for c in COMMANDS}
     # a second run into a fresh directory prints the same digests
     assert digests(cfg, tmp_path / "again")[0] == printout
 
@@ -55,7 +57,7 @@ def test_output_digests_of_a_cavity_config(tmp_path):
     cfg.write_text(json.dumps(TINY_CAVITY))
     printout, files, exits = digests(cfg, tmp_path / "out")
     assert any(name.startswith("fields/") for name in files)
-    assert set(exits.values()) == {"0"}
+    assert exits == {c: "2" if c == USAGE_ERROR else "0" for c in COMMANDS}
     # the field store's file names repeat too
     assert digests(cfg, tmp_path / "again")[0] == printout
 
@@ -75,6 +77,6 @@ def test_output_digests_of_an_ingested_config(tmp_path):
     printout, files, exits = digests(cfg, tmp_path / "out")
     assert "manifest.json" in files and "visual/PODR_psi.svg" in files
     # one grid and no parameter axis: neither study can run
-    assert exits == {c: "2" if c.split()[0] in ("param-study", "depth-study") else "0"
-                     for c in COMMANDS}
+    assert exits == {c: "2" if c.split()[0] in ("param-study", "depth-study")
+                     or c == USAGE_ERROR else "0" for c in COMMANDS}
     assert digests(cfg, tmp_path / "again")[0] == printout

@@ -25,14 +25,17 @@ from podreadout.flow import (
     transient_pair,
     write_snapshot_file,
 )
+from podreadout.io_util import atomic_write_text
 from podreadout.pipeline import harmonized_shots, problem_of, run_offline
 from podreadout.pod import load_basis
 from podreadout.visualize import (
+    _diverging_colors,
     emit_visual_comparison,
     stream_function,
     svg_heatmap,
     write_grid_csv,
 )
+from test_scripts import EMPTY
 
 
 def n_bs(offline):
@@ -136,6 +139,69 @@ class TestSvg:
         p = tmp_path / "g.csv"
         write_grid_csv(f, p)
         assert read_snapshot_csv(p).values.tobytes() == f.values.tobytes()
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_same_bytes_as_the_frozen_renderers(self, tmp_path, seed):
+        rng = np.random.default_rng(seed)
+        g = rng.normal(size=(32, 32)) * 10.0 ** rng.integers(-8, 8)
+        scale = np.abs(g).max()
+        g.flat[:8] = [scale, -scale, 0.0, -0.0, 5e-324, -5e-324, 1e-300, -1e-17 * scale]
+        for f in (Field2D(32, 32, g.reshape(-1)), Field2D(16, 64, g.reshape(-1)),
+                  Field2D(16, 4, np.zeros(64)), Field2D(4, 16, np.full(64, -0.0))):
+            svg_heatmap(f, tmp_path / "new.svg", title="PODR ux")
+            frozen_svg_heatmap(f, tmp_path / "old.svg", title="PODR ux")
+            assert (tmp_path / "new.svg").read_bytes() == (tmp_path / "old.svg").read_bytes()
+            write_grid_csv(f, tmp_path / "new.csv")
+            frozen_write_grid_csv(f, tmp_path / "old.csv")
+            assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
+
+    def test_colors_match_the_frozen_color_map_and_clip(self):
+        t = np.concatenate([
+            np.random.default_rng(0).uniform(-1.5, 1.5, 4000),
+            [-np.inf, -2.0, -1.0, -1 + 1e-16, -0.5, -1e-300, -0.0, 0.0, 1e-300, 0.5,
+             1 - 1e-16, 1.0, 2.0, np.inf, np.nan],
+            np.arange(-255, 256) / 255.0,
+        ])
+        assert _diverging_colors(t).tolist() == [frozen_diverging_color(v) for v in t]
+
+
+def frozen_write_grid_csv(field, path):
+    """write_grid_csv as first written, one pipeline.fmt call per value."""
+    rows = [",".join(pipeline.fmt(v) for v in row) for row in field.grid()]
+    atomic_write_text(path, "\n".join(rows) + "\n")
+
+
+def frozen_diverging_color(t):
+    """The per-pixel color map svg_heatmap first called."""
+    t = max(-1.0, min(1.0, t))
+    if t < 0:
+        r, g, b = 1.0 + t, 1.0 + t, 1.0
+    else:
+        r, g, b = 1.0, 1.0 - t, 1.0 - t
+    return f"#{int(255 * r):02x}{int(255 * g):02x}{int(255 * b):02x}"
+
+
+def frozen_svg_heatmap(field, path, title=""):
+    """svg_heatmap as first written, one color call and one f-string per pixel."""
+    g = field.grid()
+    scale = float(np.abs(g).max()) or 1.0
+    cell = 8
+    width, height = field.nx * cell, field.ny * cell
+    parts = [
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" '
+        f'height="{height + 20}" viewBox="0 0 {width} {height + 20}">',
+        f'<text x="4" y="14" font-family="monospace" font-size="12">{title}</text>',
+    ]
+    for j in range(field.ny):
+        y = 20 + (field.ny - 1 - j) * cell
+        for i in range(field.nx):
+            color = frozen_diverging_color(g[j, i] / scale)
+            parts.append(
+                f'<rect x="{i * cell}" y="{y}" width="{cell}" height="{cell}" '
+                f'fill="{color}"/>'
+            )
+    parts.append("</svg>")
+    atomic_write_text(path, "\n".join(parts) + "\n")
 
 
 def write_config(tmp_path, **overrides):
@@ -633,6 +699,41 @@ def test_cavity_offline_and_sweep_import_no_scipy(tmp_path):
     assert proc.returncode == 0, proc.stderr
     assert os.path.exists(tmp_path / "out" / "sweep.csv")
     assert proc.stdout.splitlines()[-2:] == ["scipy modules: []", "numpy.ma imported: False"]
+
+
+PARSE_ONLY_SCRIPT = """
+import contextlib, hashlib, io, json, sys
+from podreadout.cli import main
+out, err = io.StringIO(), io.StringIO()
+with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+    try:
+        code = main(sys.argv[1:])
+    except SystemExit as exc:
+        code = exc.code
+print(json.dumps([code, hashlib.sha256(out.getvalue().encode()).hexdigest(),
+                  hashlib.sha256(err.getvalue().encode()).hexdigest(),
+                  sorted(m for m in sys.modules if m.split(".")[0] in ("numpy", "podreadout"))]))
+"""
+# exit code and sha256 of stdout and stderr at 80 columns, as printed before
+# main deferred loading the command handlers
+PARSE_ONLY_OUTPUT = {
+    "--help": (0, "b53462785aaea81aa5a05db2eee8e60932109adb61539696e8cd4d7ab8efb3e3", EMPTY),
+    "sweep --help": (0, "8ffa6fc322cb1d5c645e9ca80f0aaf3a188879153eb0e2f0379915136a5b9f03",
+                     EMPTY),
+    "--bogus": (2, EMPTY, "ab0bdf490cf6991564be847db520d70b0d0b67a96e05127e754ae49f462ebc3b"),
+}
+
+
+@pytest.mark.parametrize("argv", sorted(PARSE_ONLY_OUTPUT))
+def test_help_and_usage_errors_load_neither_numpy_nor_the_lab(argv):
+    env = dict(os.environ, COLUMNS="80",
+               PYTHONPATH=os.path.dirname(os.path.dirname(podreadout.__file__)))
+    proc = subprocess.run([sys.executable, "-c", PARSE_ONLY_SCRIPT, *argv.split()], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    code, out, err, modules = json.loads(proc.stdout)
+    assert modules == ["podreadout", "podreadout.cli", "podreadout.errors"]
+    assert (code, out, err) == PARSE_ONLY_OUTPUT[argv]
 
 
 def public_code(package):
