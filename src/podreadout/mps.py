@@ -10,28 +10,30 @@ squared snapshot amplitudes sigma_i^2 / m; the search doubles one bond at a
 time (powers of two only, as the qubit register forces) until the estimate
 clears the requested threshold.
 
-The search does that ascent incrementally.  Each compression's overlap row
-<approx_i, u_j> is computed once, and a trial doubling is scored by swapping
-its row into the current n_b x n_b overlap matrix.  The estimator builds its
-matrix from the same one-row products, so the accepted trial's score is the
-estimate itself and the estimator runs once per search, for the starting
-plan.  Each sweep remembers the first cut its cap truncated, together with
-that cut's factorization, so the doubled compression resumes there without
-factoring it again: every earlier cut is the same under chi and 2 chi.  Once
-a compression's overlap row is taken its dense contraction is dropped, so the
-search holds no 2^n-entry vector per basis or trial, and its approximants
-leave with dense unset.
+The search does that ascent incrementally.  Each trial compression is
+contracted once, for its overlap row <approx_i, u_j>, and a trial doubling
+is scored by swapping its row into the current n_b x n_b overlap matrix.
+The estimator builds its matrix from the same one-row products, so the
+accepted trial's score is the estimate itself and the estimator runs once
+per search, for the starting plan (whose n_b product states are contracted
+once more for their rows).
+Each sweep remembers the first cut its cap truncated, together with that
+cut's factorization, so the doubled compression resumes there without
+factoring it again: every earlier cut is the same under chi and 2 chi.
+An MpsVector holds only its cores: contract() computes the dense vector on
+demand and keeps nothing, so no 2^n-entry array outlives its use.
 
 A wide cut (more columns than rows, as in the first half of the sweep) is
 factored as the SVD of its transpose.  numpy hands a wide C-order matrix to
 LAPACK's slow path; its transpose is a tall Fortran-order one, about 2-3x
 faster at the sweep's shapes.  Each cut writes its carry once, in C order,
-so the next cut's reshape is a view, and the dense contraction chains np.dot
-over each core's (left, 2 right) matrix.
+so the next cut's reshape is a view, and contract() chains np.dot over each
+core's (left, 2 right) matrix.
 """
 
 from __future__ import annotations
 
+import hashlib
 import struct
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -90,18 +92,15 @@ class _SweepState:
 
 @dataclass
 class MpsVector:
-    """Tensor-train form of a unit vector plus its dense contraction.
+    """Tensor-train form of a unit vector.
 
-    cores[k] has shape (left_k, 2, right_k) with left_0 = right_{n-1} = 1.
-    dense caches the unit-norm contraction: tt_svd sets it, search_bond_plan
-    drops it once it has the overlap row, load_mps leaves it unset, and
-    contract() fills it again with the same bits.  resume, when set, lets
-    tt_svd continue this sweep under a larger cap.
+    cores[k] has shape (left_k, 2, right_k) with left_0 = right_{n-1} = 1;
+    contract() gives the dense unit-norm vector, computed afresh on each call.
+    resume, when set, lets tt_svd continue this sweep under a larger cap.
     """
 
     n_qubits: int
     cores: list
-    dense: np.ndarray | None = None
     resume: _SweepState | None = field(default=None, repr=False, compare=False)
 
 
@@ -160,25 +159,17 @@ def tt_svd(x, chi_max: int, resume: _SweepState | None = None) -> MpsVector:
     if state is None:
         state = _SweepState(n - 1, chi_max, list(cores), None)
 
-    m = MpsVector(n_qubits=n, cores=cores, resume=state)
-    m.dense = _contract_cores(cores, n)
-    return m
-
-
-def _contract_cores(cores, n: int) -> np.ndarray:
-    t = cores[0].reshape(2, -1)
-    for core in cores[1:]:  # the product np.tensordot would form, without its overhead
-        t = np.dot(t, core.reshape(core.shape[0], -1)).reshape(-1, core.shape[2])
-    flat = t.reshape(-1)
-    flat = flat / np.linalg.norm(flat)
-    return from_lsb_flat(flat, n)
+    return MpsVector(n_qubits=n, cores=cores, resume=state)
 
 
 def contract(m: MpsVector) -> np.ndarray:
-    """Dense unit-norm contraction (cached on the MpsVector)."""
-    if m.dense is None:
-        m.dense = _contract_cores(m.cores, m.n_qubits)
-    return m.dense
+    """Dense unit-norm contraction, a new array on each call."""
+    t = m.cores[0].reshape(2, -1)
+    for core in m.cores[1:]:  # the product np.tensordot would form, without its overhead
+        t = np.dot(t, core.reshape(core.shape[0], -1)).reshape(-1, core.shape[2])
+    flat = t.reshape(-1)
+    flat = flat / np.linalg.norm(flat)
+    return from_lsb_flat(flat, m.n_qubits)
 
 
 @dataclass(frozen=True)
@@ -204,16 +195,18 @@ def enc_error_estimator(basis: PodBasisSet, approximants) -> float:
     if n_b == 0 or n_b > basis.m:
         raise FieldError(f"{n_b} approximants for a basis set of size {basis.m}")
     u = basis.u[:, :n_b]
-    rows = []
-    for a in approximants:
-        dense = contract(a)
-        if dense.size != basis.n:
-            raise FieldError(
-                f"approximant length {dense.size} does not match basis length {basis.n}"
-            )
-        rows.append(dense @ u)
-    # one row per approximant, the product search_bond_plan scores trials with
-    return _estimate(np.stack(rows), basis.sigma[:n_b] ** 2 / basis.m)
+    rows = np.stack([_overlap_row(a, u) for a in approximants])
+    return _estimate(rows, basis.sigma[:n_b] ** 2 / basis.m)
+
+
+def _overlap_row(a: MpsVector, u) -> np.ndarray:
+    """<a, u_j> for each column u_j of u, from one contraction of a: the row
+    the estimator stacks and search_bond_plan scores trials with."""
+    dense = contract(a)
+    if dense.size != u.shape[0]:
+        raise FieldError(
+            f"approximant length {dense.size} does not match basis length {u.shape[0]}")
+    return dense @ u
 
 
 def _estimate(overlaps, s) -> float:
@@ -233,9 +226,11 @@ def search_bond_plan(basis: PodBasisSet, threshold: float, chi_cap: int):
     Trials are scored by swapping the trial's overlap row into the current
     overlap matrix, the matrix enc_error_estimator builds row by row, so the
     accepted trial's score is the new estimate: the estimator runs once, for
-    the starting plan.  A doubling resumes the sweep of the current
-    approximant, which then drops its resume state.  The approximants
-    returned have neither resume state nor dense set.
+    the starting plan.  Each trial is contracted once, for its row; the
+    starting plan's n_b compressions twice, by the estimator and for their
+    rows.  A doubling resumes the sweep of the current approximant, which
+    then drops its resume state.  The approximants returned hold only their
+    cores.
     """
     if threshold <= 0:
         raise FieldError("threshold must be positive")
@@ -253,9 +248,7 @@ def search_bond_plan(basis: PodBasisSet, threshold: float, chi_cap: int):
     est = enc_error_estimator(basis, approx)
     # every row comes from the same one-row product, so equal approximants
     # score equal and ties still go to the lowest index
-    rows = np.stack([contract(a) @ u for a in approx])  # rows[i, j] = <approx_i, u_j>
-    for a in approx:
-        a.dense = None  # contract() recomputes the same bits on demand
+    rows = np.stack([_overlap_row(a, u) for a in approx])  # rows[i, j] = <approx_i, u_j>
     trials = [None] * n_b  # (compression at 2 chis[i], its overlap row)
     while est > threshold:
         best = None
@@ -265,8 +258,7 @@ def search_bond_plan(basis: PodBasisSet, threshold: float, chi_cap: int):
             if trials[i] is None:
                 trial = tt_svd(basis.u[:, i], chis[i] * 2, resume=approx[i].resume)
                 approx[i].resume = None
-                trials[i] = (trial, contract(trial) @ u)
-                trial.dense = None
+                trials[i] = (trial, _overlap_row(trial, u))
             candidate = rows.copy()
             candidate[i] = trials[i][1]
             e = _estimate(candidate, s)
@@ -288,14 +280,17 @@ def search_bond_plan(basis: PodBasisSet, threshold: float, chi_cap: int):
     return BondPlan(chis=tuple(chis), estimated_error=est), approx
 
 
-def save_mps(m: MpsVector, path) -> None:
-    """Persist: magic, version, n_qubits, core count, then per-core payloads."""
+def save_mps(m: MpsVector, path) -> str:
+    """Persist: magic, version, n_qubits, core count, then per-core payloads.
+    Returns the sha256 of the bytes written."""
     parts = [MPS_MAGIC, struct.pack("<III", MPS_VERSION, m.n_qubits, len(m.cores))]
     for core in m.cores:
         left, _, right = core.shape
         parts.append(struct.pack("<II", left, right))
         parts.append(core.astype("<f8").tobytes())
-    atomic_write_bytes(path, b"".join(parts))
+    data = b"".join(parts)
+    atomic_write_bytes(path, data)
+    return hashlib.sha256(data).hexdigest()
 
 
 def load_mps(path) -> MpsVector:

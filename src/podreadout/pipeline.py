@@ -8,15 +8,20 @@ default of the held-out pair.  Cavity fields come through a FieldCache, by
 default the config's own store (<out_dir>/fields), keyed on flow.py's bytes;
 transient pairs are analytic.
 
-pod_bases builds and factors both components' snapshot matrices; only then
-does offline_component, the one offline stage (basis count, bond search),
-run on each component's basis.  run_offline persists (or reloads) its results,
-run_depth_study repeats it across grid sizes and run_param_study reads the
-same bases.  readouts is the one loop over readout cells (component, method,
-budget, seed): the sweep, `podr readout` and `podr visualize` all use it.
+component_basis builds and factors one component's snapshot matrix from the
+problem's pairs, with its basis count; offline_component is the bond search
+on one component's basis.  run_offline runs them in two passes.  Pass 1
+takes one component at a time: it builds, factors and writes that basis and
+frees it, so no SVD runs while the other component's snapshot data or basis
+is in memory.  Pass 2 reads both bases back (the bytes every later command
+reads), runs the two bond searches and writes the approximants and the
+manifest; it persists (or reloads) the results.  run_depth_study repeats
+both stages across grid sizes and run_param_study reads the same bases.
+readouts is the one loop over readout cells (component, method, budget,
+seed): the sweep, `podr readout` and `podr visualize` all use it.
 run_offline's bond searches and readouts' cells run ux on the calling thread
 and uy on one worker thread (_on_two_threads), then log, write and raise in
-ux, uy order; pod_bases and run_depth_study stay serial.
+ux, uy order; pass 1 and run_depth_study stay serial.
 harmonized_shots is the one rule that fits a shot budget to basis counts:
 to a PODR cell's n_b in run_cell, to both components' in `podr visualize`.
 
@@ -93,7 +98,12 @@ def _solver_digest() -> str:
 
 def cavity_field_key(re, nx, ny, tol, max_iters, lid_speed) -> str:
     """Store key of one cavity solve: a digest of the stored layout (psi, then
-    omega) and of everything that decides the solve."""
+    omega) and of everything that decides the solve.
+
+    The BLAS thread count is not in it, though fields at 64x64 and finer
+    depend on it in the last bits: a stored field is byte-reproducible only
+    at the thread count that wrote it (scripts/output_digests.py pins 1).
+    """
     doc = ["cavity", "psi,omega", float(re), int(nx), int(ny), float(tol), int(max_iters),
            float(lid_speed), _solver_digest()]
     return hashlib.sha256(json.dumps(doc).encode()).hexdigest()
@@ -245,22 +255,23 @@ def problem_of(cfg: ExperimentConfig, cache: FieldCache | None = None,
     return Problem(labels, target, pair, axis)
 
 
-def pod_bases(prob: Problem) -> dict:
-    """{"ux": ..., "uy": ...} POD bases (n_b = m) of a problem's training ensemble.
+def component_basis(prob: Problem, comp: str, proj_thr: float | None = None):
+    """comp's POD basis of prob's training ensemble: n_b = m, or the smallest
+    n_b whose projection estimator clears proj_thr.
 
-    Both snapshot matrices are built before either is factored: the fields
-    are dropped once both exist and each matrix once it is factored, so no
-    snapshot data outlives this call.
+    Each pair is made again and only comp's field kept; the fields go once
+    the snapshot matrix exists and the matrix once it is factored, so only
+    the basis outlives this call.
     """
-    ux, uy = prob.ensemble()
-    mats = {}
-    for comp, fields in (("ux", ux), ("uy", uy)):
-        try:
-            mats[comp] = pod.build_snapshot_matrix(fields)
-        except FieldError as exc:
-            raise FieldError(f"component {comp}: {exc}") from exc
-    del ux, uy, fields
-    return {comp: pod.pod_decompose(mats.pop(comp)) for comp in COMPONENTS}
+    k = COMPONENTS.index(comp)
+    try:
+        mat = pod.build_snapshot_matrix([prob.pair(p)[k] for p in prob.labels])
+    except FieldError as exc:
+        raise FieldError(f"component {comp}: {exc}") from exc
+    basis = pod.pod_decompose(mat)
+    if proj_thr is None:
+        return basis
+    return basis.with_nb(pod.select_nb(basis.sigma, basis.m, proj_thr))
 
 
 def _on_two_threads(work) -> list:
@@ -301,15 +312,10 @@ class OfflineComponent:
         return pod.proj_error_estimator(self.basis.sigma, self.basis.m, self.basis.n_b)
 
 
-def offline_component(basis, thresholds, chi_cap) -> OfflineComponent:
-    """The offline stage for one velocity component, from its POD basis.
-
-    The smallest n_b whose projection estimator clears thresholds[0], then
-    the bond search that brings the encoding estimator under thresholds[1]
-    with every bond at most chi_cap.
-    """
-    proj_thr, enc_thr = thresholds
-    basis = basis.with_nb(pod.select_nb(basis.sigma, basis.m, proj_thr))
+def offline_component(basis, enc_thr, chi_cap) -> OfflineComponent:
+    """The bond search of one velocity component's basis, at its n_b: the
+    plan that brings the encoding estimator under enc_thr with every bond at
+    most chi_cap."""
     plan, approximants = mps.search_bond_plan(basis, enc_thr, chi_cap)
     return OfflineComponent(basis, plan, approximants)
 
@@ -321,7 +327,8 @@ class OfflineResult:
 
 
 def _component_files(comp: str, n_b: int) -> list:
-    """Artifact names of one component: its basis, then its n_b approximants."""
+    """Artifact names of one component: its basis, then its n_b approximants
+    (n_b 0: the basis alone)."""
     return [f"{comp}_basis.podb", *(f"{comp}_mps_{i:02d}.podm" for i in range(n_b))]
 
 
@@ -360,9 +367,14 @@ def run_offline(cfg: ExperimentConfig, prob: Problem | None = None) -> OfflineRe
     """Build (or reload) both components' bases and approximants of prob (problem_of(cfg)).
 
     Artifacts land in cfg.out_dir together with manifest.json recording the
-    selected basis counts, bond plans, estimator values and content hashes.
-    A rerun whose config hash and file hashes match loads everything back
-    instead of recomputing.
+    selected basis counts, bond plans, estimator values and the sha256 of
+    each file's bytes as written.  A rerun whose config hash and file hashes
+    match loads everything back instead of recomputing.
+
+    Pass 1 writes each component's basis in turn; pass 2 reads both back and
+    searches them on two threads.  A failed search raises after both bases
+    and the approximants of the components before it are written, and
+    before the manifest.
     """
     out_dir = cfg.out_dir
     os.makedirs(out_dir, exist_ok=True)
@@ -381,9 +393,16 @@ def run_offline(cfg: ExperimentConfig, prob: Problem | None = None) -> OfflineRe
     }
     if prob.digests is not None:
         manifest["snapshot_sha256"] = prob.digests
-    bases = pod_bases(prob)
-    outcomes = _on_two_threads(
-        lambda comp: offline_component(bases[comp], cfg.thresholds, cfg.chi_cap))
+    proj_thr, enc_thr = cfg.thresholds
+    basis_files = {comp: _component_files(comp, 0)[0] for comp in COMPONENTS}
+    written = {}  # file name -> sha256 of the bytes written
+    for comp, name in basis_files.items():  # pass 1, one component at a time
+        written[name] = pod.save_basis(component_basis(prob, comp, proj_thr),
+                                       os.path.join(out_dir, name))
+    # pass 2: both bases as every later command reads them
+    bases = {comp: pod.load_basis(os.path.join(out_dir, name))
+             for comp, name in basis_files.items()}
+    outcomes = _on_two_threads(lambda comp: offline_component(bases[comp], enc_thr, cfg.chi_cap))
 
     components = {}
     for comp, (art, exc) in zip(COMPONENTS, outcomes):
@@ -393,15 +412,14 @@ def run_offline(cfg: ExperimentConfig, prob: Problem | None = None) -> OfflineRe
             raise exc
         components[comp] = art
         names = _component_files(comp, art.basis.n_b)
-        pod.save_basis(art.basis, os.path.join(out_dir, names[0]))
         for name, m in zip(names[1:], art.approximants):
-            mps.save_mps(m, os.path.join(out_dir, name))
+            written[name] = mps.save_mps(m, os.path.join(out_dir, name))
         manifest["components"][comp] = {
             "n_b": art.basis.n_b,
             "chis": list(art.plan.chis),
             "e_proj_est": art.e_proj_est,
             "e_enc_est": art.plan.estimated_error,
-            "files": {name: sha256_file(os.path.join(out_dir, name)) for name in names},
+            "files": {name: written[name] for name in names},
         }
     atomic_write_text(
         manifest_path, json.dumps(manifest, indent=2, sort_keys=True) + "\n"
@@ -513,7 +531,7 @@ def run_param_study(cfg: ExperimentConfig, cache: FieldCache | None = None):
     """Exact projection error across a parameter sweep at both case settings."""
     prob = problem_of(cfg, cache, no_axis_error=(
         "param-study needs a parameter axis; ingested snapshots have none"))
-    bases = pod_bases(prob)
+    bases = {comp: component_basis(prob, comp) for comp in COMPONENTS}
     h = config_hash(cfg)
     nbs = {
         comp: {case: pod.select_nb(basis.sigma, basis.m, thr[0])
@@ -550,8 +568,8 @@ def run_depth_study(cfg: ExperimentConfig, cache: FieldCache | None = None,
     """Circuit cost of the offline stage across grid sizes, at case-2 thresholds.
 
     For each total size N in grid_sizes (default cfg.grid_sizes) the ensemble
-    is rebuilt on a sqrt(N) x sqrt(N) grid and run through pod_bases and
-    offline_component.
+    is rebuilt on a sqrt(N) x sqrt(N) grid and each component run through
+    component_basis and offline_component.
     Each row reports the costliest of the n_b approximants, the per-shot
     state-preparation upper bound; that is normally the n_b-th basis, though
     on coarse grids the greedy plan can leave the last basis cheaper than an
@@ -564,12 +582,14 @@ def run_depth_study(cfg: ExperimentConfig, cache: FieldCache | None = None,
     # each grid's config is checked (side, chi_cap, repeated sizes) before any solve
     grids = [validate_config(replace(cfg, nx=side, ny=side, grid_sizes=sizes))
              for side in _depth_study_sides(sizes)]
+    proj_thr, enc_thr = CASE_THRESHOLDS["case2"]
     rows = []
     for size, grid in zip(sizes, grids):
         try:
-            bases = pod_bases(problem_of(grid, cache))
+            prob = problem_of(grid, cache)
             for comp in COMPONENTS:
-                art = offline_component(bases[comp], CASE_THRESHOLDS["case2"], cfg.chi_cap)
+                art = offline_component(component_basis(prob, comp, proj_thr), enc_thr,
+                                        cfg.chi_cap)
                 cost = max((circuit.circuit_cost(m) for m in art.approximants),
                            key=lambda c: c.depth)
                 rows.append({

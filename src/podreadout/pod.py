@@ -10,6 +10,7 @@ spectrum drives both the truncation estimator and the basis count choice.
 
 from __future__ import annotations
 
+import hashlib
 import struct
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -133,8 +134,9 @@ def exact_projection_error(x, basis: PodBasisSet, n_b: int | None = None) -> flo
     return float(np.linalg.norm(x - un @ (un.T @ x)))
 
 
-def save_basis(basis: PodBasisSet, path) -> None:
-    """Persist: magic, version, n, m, n_b, sigma, u column-major, v column-major."""
+def save_basis(basis: PodBasisSet, path) -> str:
+    """Persist: magic, version, n, m, n_b, sigma, u column-major, v column-major.
+    Returns the sha256 of the bytes written."""
     n, m = basis.n, basis.m
     data = bytearray(20 + 8 * (m + n * m + m * m))
     data[:20] = BASIS_MAGIC + struct.pack("<IIII", BASIS_VERSION, n, m, basis.n_b)
@@ -144,6 +146,7 @@ def save_basis(basis: PodBasisSet, path) -> None:
     body[m:m + n * m].reshape((n, m), order="F")[...] = basis.u
     body[m + n * m:].reshape((m, m), order="F")[...] = basis.v
     atomic_write_bytes(path, data)
+    return hashlib.sha256(data).hexdigest()
 
 
 def load_basis(path) -> PodBasisSet:

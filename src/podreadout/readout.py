@@ -21,7 +21,9 @@ keeps it: PODR's overlaps and exact E_proj and E_enc, RSR's probabilities,
 FSR's spectrum probabilities and phases.  A sweep prepares each target once
 and hands it to every cell, which then only samples and rebuilds; the
 expressions are the ones a fresh Target evaluates, so the results are the
-same bits.
+same bits.  PODR's overlaps contract the approximants once, through
+mps.contract, and drop the dense vectors: a Target keeps its n_b overlaps,
+and no approximant carries a 2^n-entry array.
 """
 
 from __future__ import annotations

@@ -3,8 +3,10 @@
 No podr command needs these, so they live beside the tests instead of in
 the package: the noise-free PODR readout, PODR's error-budget check, the
 line fit that judges depth scaling, the interior divergence of a velocity
-pair, and the structural checks of a tensor train.
+pair, the structural checks of a tensor train and the arrays an object holds.
 """
+
+import types
 
 import numpy as np
 
@@ -77,3 +79,24 @@ def validate_mps(m, chi_max: int) -> None:
             raise FieldError(f"bond {k} exceeds the cut dimension bound")
     if abs(np.linalg.norm(contract(m)) - 1.0) > 1e-10:
         raise FieldError("contraction is not unit norm")
+
+
+def arrays_held(obj) -> list:
+    """Every numpy array obj refers to through lists, tuples, dicts and
+    instance attributes (not through arrays, classes, modules or functions),
+    each once."""
+    seen, found, stack = set(), [], [obj]
+    while stack:
+        o = stack.pop()
+        if id(o) in seen or isinstance(o, (type, types.ModuleType, types.FunctionType)):
+            continue
+        seen.add(id(o))
+        if isinstance(o, np.ndarray):
+            found.append(o)
+        elif isinstance(o, (list, tuple)):
+            stack.extend(o)
+        elif isinstance(o, dict):
+            stack.extend(o.values())
+        elif hasattr(o, "__dict__"):
+            stack.extend(vars(o).values())
+    return found

@@ -5,6 +5,7 @@ import logging
 import os
 import sys
 import threading
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -275,6 +276,37 @@ class TestOffline:
             monkeypatch.setattr(mod, name, spy)
         run_offline(transient_config(tmp_path / "out"))
         assert calls == ["pod_decompose"] * 2 + ["search_bond_plan"] * 2
+
+    @pytest.mark.parametrize("problem", ["transient", "cavity"])
+    def test_no_svd_beside_the_other_components_data(self, tmp_path, monkeypatch, problem):
+        """While run_offline factors one component's snapshot matrix, no array
+        of the other component's snapshot matrix or basis is alive."""
+        cfg = transient_config(tmp_path / "out")
+        if problem == "cavity":
+            cfg = config_from_dict(dict(problem="cavity", nx=16, ny=16, reynolds=[100, 200],
+                                        target_reynolds=150, out_dir=str(tmp_path / "out")))
+        refs = {comp: [] for comp in pipeline.COMPONENTS}  # weakrefs to each one's arrays
+        built, alive = [], []
+        real_build, real_decompose = pod.build_snapshot_matrix, pod.pod_decompose
+
+        def build(fields):
+            mat = real_build(fields)
+            built.append(weakref.ref(mat))  # components are built in COMPONENTS order
+            refs[pipeline.COMPONENTS[len(built) - 1]].append(built[-1])
+            return mat
+
+        def decompose(mat):
+            comp = next(c for c, rs in refs.items() if any(r() is mat for r in rs))
+            alive.append((comp, [r() for c, rs in refs.items() if c != comp for r in rs
+                                 if r() is not None]))
+            basis = real_decompose(mat)
+            refs[comp] += [weakref.ref(a) for a in (basis.u, basis.sigma, basis.v)]
+            return basis
+
+        monkeypatch.setattr(pod, "build_snapshot_matrix", build)
+        monkeypatch.setattr(pod, "pod_decompose", decompose)
+        assert not run_offline(cfg).reused
+        assert [(comp, len(arrays)) for comp, arrays in alive] == [("ux", 0), ("uy", 0)]
 
     def test_unreachable_threshold_names_stage(self, tmp_path):
         cfg = transient_config(tmp_path / "out", chi_cap=1, case="case2")

@@ -23,7 +23,7 @@ from podreadout.mps import (
 )
 from podreadout.pod import PodBasisSet, build_snapshot_matrix, pod_decompose
 
-from oracles import bond_dims, validate_mps
+from oracles import arrays_held, bond_dims, validate_mps
 
 
 def schmidt_truncation_fidelity(x, chi):
@@ -326,7 +326,7 @@ class TestFrozenKernels:
             cores = tt_svd(x, chi).cores
             for layout in (cores, [np.asfortranarray(c) for c in cores],
                            [c.copy() for c in cores]):
-                assert (mps._contract_cores(layout, n).tobytes()
+                assert (contract(MpsVector(n_qubits=n, cores=layout)).tobytes()
                         == frozen_contract(layout, n).tobytes())
 
 
@@ -336,15 +336,16 @@ class TestContract:
         e5[5] = 1.0
         assert np.array_equal(contract(tt_svd(e5, 8)), e5)
 
-    def test_cached(self):
+    def test_contract_computes_on_each_call(self):
+        # nothing is kept on the MpsVector: each call returns a new array
+        # with the same bytes, for swept and for loaded cores alike
         m = tt_svd(np.random.default_rng(1).normal(size=16), 4)
-        assert contract(m) is contract(m)
-
-    def test_contract_recomputes_after_cache_drop(self):
-        m = tt_svd(np.random.default_rng(2).normal(size=16), 4)
-        dense = contract(m).copy()
-        m.dense = None
-        assert np.allclose(contract(m), dense, atol=1e-14)
+        first = contract(m)
+        assert contract(m) is not first
+        assert contract(m).tobytes() == first.tobytes()
+        assert contract(MpsVector(m.n_qubits, [c.copy() for c in m.cores])).tobytes() \
+            == first.tobytes()
+        assert set(vars(m)) == {"n_qubits", "cores", "resume"}
 
 
 class TestEncErrorEstimator:
@@ -359,7 +360,7 @@ class TestEncErrorEstimator:
         u1 = basis.u[:, 0]
         w = basis.u[:, 1]
         tilted = (1.0 - delta) * u1 + np.sqrt(1.0 - (1.0 - delta) ** 2) * w
-        apx = MpsVector(n_qubits=6, cores=[], dense=tilted)
+        apx = tt_svd(tilted, 8)  # bond 8 is every cut's full rank at n = 6
         expected = basis.sigma[0] ** 2 / basis.m * delta
         assert enc_error_estimator(basis, [apx]) == pytest.approx(expected, rel=1e-10)
 
@@ -551,9 +552,9 @@ class TestBondSearch:
         basis = mixed_basis(10, 5, kind, 3, 4)
         start = enc_error_estimator(basis, [tt_svd(basis.u[:, i], 1) for i in range(4)])
         plan, apx = search_bond_plan(basis, start * drop, 16)
-        assert all(a.dense is None for a in apx)
         for i, (a, chi) in enumerate(zip(apx, plan.chis)):
-            assert contract(a).tobytes() == tt_svd(basis.u[:, i], chi).dense.tobytes()
+            assert sorted(map(id, arrays_held(a))) == sorted(map(id, a.cores))
+            assert contract(a).tobytes() == contract(tt_svd(basis.u[:, i], chi)).tobytes()
 
     def test_huge_threshold_keeps_all_chis_one(self):
         basis = random_basis(64, 4, seed=11, n_b=3)

@@ -6,7 +6,7 @@ import pytest
 from podreadout import readout
 from podreadout.errors import FieldError
 from podreadout.flow import Field2D
-from podreadout.mps import tt_svd
+from podreadout.mps import contract, tt_svd
 from podreadout.pod import PodBasisSet, build_snapshot_matrix, pod_decompose
 from podreadout.readout import (
     Target,
@@ -17,7 +17,7 @@ from podreadout.readout import (
     sample_coefficient,
 )
 
-from oracles import error_budget_check, noise_free_podr
+from oracles import arrays_held, error_budget_check, noise_free_podr
 
 
 def small_problem(n=256, m=6, n_b=4, seed=0, chi=4):
@@ -129,12 +129,22 @@ class TestPodrReadout:
         epsilon, e_proj, e_enc = noise_free_podr(Target(x), basis, apx)
         n_b = basis.n_b
         un = basis.u[:, :n_b]
-        overlaps = np.array([float(x @ np.asarray(a.dense)) for a in apx])
+        overlaps = np.array([float(x @ contract(a)) for a in apx])
         recon = un @ overlaps
         direct = np.linalg.norm(x - recon)
         assert epsilon == pytest.approx(direct, abs=1e-12)
         floor = math.sqrt(e_proj**2 + e_enc**2)
         assert epsilon == pytest.approx(floor, abs=1e-10)
+
+    def test_podr_terms_leave_only_cores_on_the_approximants(self):
+        basis, apx, x = small_problem(chi=4)
+        for a in apx:
+            a.resume = None  # as search_bond_plan and load_mps leave them
+        fresh = [contract(tt_svd(basis.u[:, i], 4)).tobytes() for i in range(basis.n_b)]
+        Target(x).podr_terms(basis, apx)
+        for a, want in zip(apx, fresh):
+            assert sorted(map(id, arrays_held(a))) == sorted(map(id, a.cores))
+            assert contract(a).tobytes() == want
 
     def test_shot_bookkeeping(self):
         basis, apx, x = small_problem()

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 import podreadout
-from podreadout import flow, pipeline
+from podreadout import flow, pipeline, pod
 from podreadout.cli import main
 from podreadout.config import ExperimentConfig
 from podreadout.errors import NumericalError
@@ -26,8 +26,8 @@ from podreadout.flow import (
     write_snapshot_file,
 )
 from podreadout.io_util import atomic_write_text
+from podreadout.mps import contract, tt_svd
 from podreadout.pipeline import harmonized_shots, problem_of, run_offline
-from podreadout.pod import load_basis
 from podreadout.visualize import (
     _diverging_colors,
     emit_visual_comparison,
@@ -35,6 +35,7 @@ from podreadout.visualize import (
     svg_heatmap,
     write_grid_csv,
 )
+from oracles import arrays_held
 from test_scripts import EMPTY
 
 
@@ -313,8 +314,9 @@ class TestCli:
         # None: no --sizes, and the config's grid_sizes holds the same sizes
         cfg_path = write_config(tmp_path, nx=32, ny=32, chi_cap=32,
                                 **({} if sizes else {"grid_sizes": [1024, 256]}))
-        built, real = [], pipeline.pod_bases
-        monkeypatch.setattr(pipeline, "pod_bases", lambda prob: built.append(prob) or real(prob))
+        built, real = [], pipeline.component_basis
+        monkeypatch.setattr(pipeline, "component_basis",
+                            lambda prob, *args: built.append(prob) or real(prob, *args))
         argv = ["--config", str(cfg_path), "depth-study", *(["--sizes", sizes] if sizes else [])]
         assert_config_error(tmp_path, capsys, argv)
         assert built == []
@@ -539,15 +541,16 @@ def test_verbose_stderr_is_the_serial_line_sequence(cavity_32, caplog, capsys, m
 @pytest.mark.parametrize("failing, named", [(("uy",), "uy"), (("ux", "uy"), "ux")])
 def test_offline_raises_the_first_failing_component(tmp_path, capsys, monkeypatch,
                                                     failing, named):
-    """As in a ux-then-uy loop: ux's artifacts are written before uy's failure
-    is raised, and no manifest is written."""
+    """As in a ux-then-uy loop: both bases (pass 1) and ux's approximants are
+    written before uy's failure is raised, and no manifest is written."""
     cfg_path = write_config(tmp_path)
-    bases = {}
-    real_bases, real_component = pipeline.pod_bases, pipeline.offline_component
+    bases = {}  # component -> the basis pass 2 read back
+    real_load, real_component = pod.load_basis, pipeline.offline_component
 
-    def recorded_bases(prob):
-        bases.update(real_bases(prob))
-        return bases
+    def load(path):
+        basis = real_load(path)
+        bases[os.path.basename(path).split("_")[0]] = basis
+        return basis
 
     def component(basis, *args):
         comp = next(c for c, b in bases.items() if b is basis)
@@ -555,18 +558,34 @@ def test_offline_raises_the_first_failing_component(tmp_path, capsys, monkeypatc
             raise NumericalError(f"no plan for {comp}")
         return real_component(basis, *args)
 
-    monkeypatch.setattr(pipeline, "pod_bases", recorded_bases)
+    monkeypatch.setattr(pod, "load_basis", load)
     monkeypatch.setattr(pipeline, "offline_component", component)
     assert main(["--config", str(cfg_path), "offline"]) == 3
     assert capsys.readouterr().err == (
         f"numerical failure: offline stage, component {named}: no plan for {named}\n")
     out = tmp_path / "out"
     written = sorted(p.name for p in out.iterdir())
-    if named == "ux":
-        assert written == []
-    else:
-        n_b = load_basis(out / "ux_basis.podb").n_b
-        assert written == pipeline._component_files("ux", n_b)
+    expected = ["ux_basis.podb", "uy_basis.podb"]
+    if named == "uy":
+        expected += pipeline._component_files("ux", bases["ux"].n_b)[1:]
+    assert written == sorted(expected)
+
+
+def test_sweep_leaves_only_cores_on_the_approximants(tmp_path, monkeypatch):
+    """After an in-process sweep on stored artifacts, the approximants its
+    PODR cells read hold their cores and no 2^n-entry array."""
+    cfg_path = write_config(tmp_path)
+    assert main(["--config", str(cfg_path), "offline"]) == 0
+    results, real = [], pipeline.run_offline
+    monkeypatch.setattr(pipeline, "run_offline",
+                        lambda *args: results.append(real(*args)) or results[-1])
+    assert main(["--config", str(cfg_path), "sweep"]) == 0
+    [offline] = results
+    assert offline.reused
+    for art in offline.components.values():
+        for i, (a, chi) in enumerate(zip(art.approximants, art.plan.chis)):
+            assert sorted(map(id, arrays_held(a))) == sorted(map(id, a.cores))
+            assert contract(a).tobytes() == contract(tt_svd(art.basis.u[:, i], chi)).tobytes()
 
 
 @pytest.mark.parametrize("command", ["offline", "sweep", "visualize"])
