@@ -338,14 +338,21 @@ class TestContract:
 
     def test_contract_computes_on_each_call(self):
         # nothing is kept on the MpsVector: each call returns a new array
-        # with the same bytes, for swept and for loaded cores alike
+        # with the same bytes
         m = tt_svd(np.random.default_rng(1).normal(size=16), 4)
         first = contract(m)
         assert contract(m) is not first
         assert contract(m).tobytes() == first.tobytes()
-        assert contract(MpsVector(m.n_qubits, [c.copy() for c in m.cores])).tobytes() \
-            == first.tobytes()
         assert set(vars(m)) == {"n_qubits", "cores", "resume"}
+
+    def test_contract_recomputes_after_cache_drop(self):
+        # there is no cache to drop: contract recomputes from the cores, so
+        # swept cores and a copy of them (as a load gives) contract alike
+        m = tt_svd(np.random.default_rng(2).normal(size=16), 4)
+        dense = contract(m).copy()
+        loaded = MpsVector(m.n_qubits, [c.copy() for c in m.cores])
+        assert np.allclose(contract(m), dense, atol=1e-14)
+        assert contract(loaded).tobytes() == dense.tobytes()
 
 
 class TestEncErrorEstimator:
