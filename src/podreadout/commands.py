@@ -22,7 +22,7 @@ def _load(args):
         raise ConfigError("this command needs --config")
     cfg = load_config(args.config)
     overrides = {}
-    if args.out:
+    if args.out is not None:
         overrides["out_dir"] = args.out
     if args.seed is not None:
         overrides["seeds"] = (args.seed,)
@@ -124,7 +124,7 @@ def _cmd_visualize(cfg, args):
 def _cmd_ingest(args):
     inputs = args.inputs
     if len(inputs) == 1 and inputs[0].endswith(".pods") and not args.to:
-        fields = flow.read_snapshot_file(inputs[0])
+        fields, _ = flow.read_snapshot_file(inputs[0])
         print(f"{inputs[0]}: {len(fields)} snapshots on "
               f"{fields[0].nx}x{fields[0].ny}")
         return 0

@@ -19,18 +19,15 @@ layout used by the encoding stage.
 from __future__ import annotations
 
 import math
-import struct
 import warnings
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
 from .errors import ConvergenceError, FieldError, SnapshotFormatError
-from .io_util import atomic_write_bytes
+from .io_util import read_artifact, write_artifact
 
 SNAPSHOT_MAGIC = b"PODS"
-SNAPSHOT_VERSION = 1
 REYNOLDS_RANGE = (1.0, 5000.0)  # the Reynolds numbers the cavity solver accepts
 
 
@@ -306,12 +303,10 @@ def transient_pair(step: int, period: int, nx: int, ny: int, seed: int):
     return Field2D.from_grid(u), Field2D.from_grid(v)
 
 
-def write_snapshot_file(fields, path) -> None:
-    """Write fields to the binary snapshot format (little-endian).
-
-    Layout: magic "PODS", version u32, count u32, nx u32, ny u32, then
-    count*nx*ny float64 values, snapshots concatenated in order.
-    """
+def write_snapshot_file(fields, path) -> str:
+    """Write fields to the binary snapshot format: magic "PODS", header
+    fields count, nx, ny, then count*nx*ny float64 values, snapshots
+    concatenated in order.  Returns the sha256 of the bytes written."""
     fields = list(fields)
     if not fields:
         raise SnapshotFormatError("refusing to write an empty snapshot file")
@@ -321,29 +316,21 @@ def write_snapshot_file(fields, path) -> None:
             raise SnapshotFormatError(
                 f"dimension mismatch: snapshot {k} is {f.nx}x{f.ny}, expected {nx}x{ny}"
             )
-    header = SNAPSHOT_MAGIC + struct.pack("<IIII", SNAPSHOT_VERSION, len(fields), nx, ny)
-    payload = np.concatenate([f.values for f in fields]).astype("<f8").tobytes()
-    atomic_write_bytes(path, header + payload)
+    return write_artifact(path, SNAPSHOT_MAGIC, (len(fields), nx, ny),
+                          [f.values for f in fields])
 
 
 def read_snapshot_file(path):
-    """Read a binary snapshot file back into a list of Field2D."""
-    data = Path(path).read_bytes()
-    if len(data) < 20:
-        raise SnapshotFormatError(f"truncated header: {len(data)} bytes, need 20")
-    if data[:4] != SNAPSHOT_MAGIC:
-        raise SnapshotFormatError(f"bad magic {data[:4]!r}, expected {SNAPSHOT_MAGIC!r}")
-    version, count, nx, ny = struct.unpack("<IIII", data[4:20])
-    if version != SNAPSHOT_VERSION:
-        raise SnapshotFormatError(f"unsupported snapshot version {version}")
+    """(list of Field2D, sha256 of the bytes read) of a binary snapshot file."""
+    (count, nx, ny), payload, digest = read_artifact(path, SNAPSHOT_MAGIC, 3)
     if count == 0:
         raise SnapshotFormatError(f"{path} holds no snapshots")
-    expected = 20 + count * nx * ny * 8
-    if len(data) != expected:
+    expected = count * nx * ny * 8
+    if len(payload) != expected:
         raise SnapshotFormatError(
-            f"truncated payload: expected {expected} bytes, found {len(data)}"
+            f"truncated payload: expected {expected} bytes, found {len(payload)}"
         )
-    raw = np.frombuffer(data, dtype="<f8", offset=20)
+    raw = np.frombuffer(payload, dtype="<f8")
     fields = []
     for k in range(count):
         chunk = raw[k * nx * ny:(k + 1) * nx * ny].copy()
@@ -351,7 +338,7 @@ def read_snapshot_file(path):
             fields.append(Field2D(nx=nx, ny=ny, values=chunk))
         except FieldError as exc:
             raise SnapshotFormatError(f"snapshot {k}: {exc}") from exc
-    return fields
+    return fields, digest
 
 
 def read_snapshot_csv(path) -> Field2D:

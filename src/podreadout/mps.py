@@ -33,19 +33,15 @@ core's (left, 2 right) matrix.
 
 from __future__ import annotations
 
-import hashlib
-import struct
 from dataclasses import dataclass, field
-from pathlib import Path
 
 import numpy as np
 
 from .errors import BondSearchError, FieldError, SnapshotFormatError
-from .io_util import atomic_write_bytes
+from .io_util import read_artifact, write_artifact
 from .pod import PodBasisSet
 
 MPS_MAGIC = b"PODM"
-MPS_VERSION = 1
 
 _RANK_CUTOFF = 1e-14  # relative threshold below which singular values count as zero
 
@@ -281,40 +277,31 @@ def search_bond_plan(basis: PodBasisSet, threshold: float, chi_cap: int):
 
 
 def save_mps(m: MpsVector, path) -> str:
-    """Persist: magic, version, n_qubits, core count, then per-core payloads.
-    Returns the sha256 of the bytes written."""
-    parts = [MPS_MAGIC, struct.pack("<III", MPS_VERSION, m.n_qubits, len(m.cores))]
+    """Persist: magic, header fields n_qubits and core count, then per core
+    its left and right bonds (u32) and its float64 payload.  Returns the
+    sha256 of the bytes written."""
+    arrays = []
     for core in m.cores:
-        left, _, right = core.shape
-        parts.append(struct.pack("<II", left, right))
-        parts.append(core.astype("<f8").tobytes())
-    data = b"".join(parts)
-    atomic_write_bytes(path, data)
-    return hashlib.sha256(data).hexdigest()
+        arrays += [np.array(core.shape[::2], dtype=np.uint32), core]
+    return write_artifact(path, MPS_MAGIC, (m.n_qubits, len(m.cores)), arrays)
 
 
-def load_mps(path) -> MpsVector:
-    data = Path(path).read_bytes()
-    if len(data) < 16:
-        raise SnapshotFormatError(f"truncated MPS header: {len(data)} bytes")
-    if data[:4] != MPS_MAGIC:
-        raise SnapshotFormatError(f"bad magic {data[:4]!r}, expected {MPS_MAGIC!r}")
-    version, n_qubits, n_cores = struct.unpack("<III", data[4:16])
-    if version != MPS_VERSION:
-        raise SnapshotFormatError(f"unsupported MPS version {version}")
-    pos = 16
+def load_mps(path):
+    """(MpsVector, sha256 of the bytes read) of an MPS file."""
+    (n_qubits, n_cores), payload, digest = read_artifact(path, MPS_MAGIC, 2)
+    pos = 0
     cores = []
     for k in range(n_cores):
-        if pos + 8 > len(data):
+        if pos + 8 > len(payload):
             raise SnapshotFormatError(f"truncated MPS at core {k} header")
-        left, right = struct.unpack("<II", data[pos:pos + 8])
+        left, right = map(int, np.frombuffer(payload, "<u4", 2, pos))
         pos += 8
         nbytes = left * 2 * right * 8
-        if pos + nbytes > len(data):
+        if pos + nbytes > len(payload):
             raise SnapshotFormatError(f"truncated MPS at core {k} payload")
-        core = np.frombuffer(data[pos:pos + nbytes], dtype="<f8").reshape(left, 2, right)
+        core = np.frombuffer(payload, "<f8", nbytes // 8, pos).reshape(left, 2, right)
         cores.append(core.copy())
         pos += nbytes
-    if pos != len(data):
-        raise SnapshotFormatError(f"{len(data) - pos} trailing bytes in MPS file")
-    return MpsVector(n_qubits=n_qubits, cores=cores)
+    if pos != len(payload):
+        raise SnapshotFormatError(f"{len(payload) - pos} trailing bytes in MPS file")
+    return MpsVector(n_qubits=n_qubits, cores=cores), digest

@@ -2,7 +2,7 @@
 
 problem_of is the one place that looks at the problem kind: every stage
 reads the Problem it returns (its distinct training labels, and the digests
-of ingested files, hashed before they are read), and Problem.targets(param)
+of the bytes of ingested files it read), and Problem.targets(param)
 prepares one readout.Target per component through pod.unit_vector, by
 default of the held-out pair.  Cavity fields come through a FieldCache, by
 default the config's own store (<out_dir>/fields), keyed on flow.py's bytes;
@@ -52,7 +52,7 @@ import numpy as np
 from . import circuit, flow, mps, pod, readout
 from .config import CASE_THRESHOLDS, METHODS, ExperimentConfig, config_hash, validate_config
 from .errors import ConfigError, FieldError, NumericalError, SnapshotFormatError
-from .io_util import atomic_write_text, sha256_file
+from .io_util import atomic_write_text
 
 log = logging.getLogger("podreadout")
 
@@ -112,7 +112,7 @@ def cavity_field_key(re, nx, ny, tol, max_iters, lid_speed) -> str:
 def _load_stored_state(path, nx, ny):
     """The stored (psi, omega) grids, or None when they must be solved (again)."""
     try:
-        fields = flow.read_snapshot_file(path)
+        fields, _ = flow.read_snapshot_file(path)
     except FileNotFoundError:
         return None
     except (OSError, SnapshotFormatError) as exc:
@@ -205,9 +205,8 @@ def problem_of(cfg: ExperimentConfig, cache: FieldCache | None = None,
     if cfg.problem == "ingested":
         if no_axis_error is not None:
             raise ConfigError(no_axis_error)
-        # hashed before reading: a rewrite never goes unseen by offline reuse
-        digests = {"ux": sha256_file(cfg.snapshot_ux), "uy": sha256_file(cfg.snapshot_uy)}
-        ux_all, uy_all = map(flow.read_snapshot_file, (cfg.snapshot_ux, cfg.snapshot_uy))
+        (ux_all, ux_sha), (uy_all, uy_sha) = map(flow.read_snapshot_file,
+                                                 (cfg.snapshot_ux, cfg.snapshot_uy))
         for path, fields in ((cfg.snapshot_ux, ux_all), (cfg.snapshot_uy, uy_all)):
             if (fields[0].nx, fields[0].ny) != (cfg.nx, cfg.ny):
                 raise ConfigError(
@@ -229,7 +228,7 @@ def problem_of(cfg: ExperimentConfig, cache: FieldCache | None = None,
                 f"(target_index {cfg.target_index}): none is left to train on"
             )
         return Problem(labels, cfg.target_index, lambda k: (ux_all[k], uy_all[k]), None,
-                       digests)
+                       {"ux": ux_sha, "uy": uy_sha})
     if cfg.problem == "cavity":
         if cache is None:
             cache = FieldCache(os.path.join(cfg.out_dir, "fields"))
@@ -335,8 +334,9 @@ def _component_files(comp: str, n_b: int) -> list:
 def _try_reuse(cfg, digests, manifest_path):
     """The OfflineResult manifest_path records, or None when the artifacts must
     be rebuilt: the manifest is missing or malformed (logged), it was written
-    for another config or other snapshot files (digests), or a file changed.
-    Each component's entry is read, its files hashed and loaded in one pass."""
+    for another config or other snapshot files (digests), or a listed file is
+    missing, unparsable or changed.  Each file is read once: it is loaded, and
+    the sha256 of the bytes loaded is compared with the manifest's."""
     try:
         manifest = json.loads(Path(manifest_path).read_text())
     except (OSError, json.JSONDecodeError):
@@ -350,12 +350,17 @@ def _try_reuse(cfg, digests, manifest_path):
             e = manifest["components"][comp]
             names = _component_files(comp, e["n_b"])
             plan = mps.BondPlan(tuple(e["chis"]), float(e["e_enc_est"]))
-            paths = [os.path.join(cfg.out_dir, name) for name in names]
-            if not all(os.path.exists(path) and sha256_file(path) == e["files"].get(name)
-                       for name, path in zip(names, paths)):
-                return None
-            components[comp] = OfflineComponent(
-                pod.load_basis(paths[0]), plan, [mps.load_mps(p) for p in paths[1:]])
+            loaded = []
+            for name in names:
+                load = pod.load_basis if name.endswith(".podb") else mps.load_mps
+                try:
+                    obj, digest = load(os.path.join(cfg.out_dir, name))
+                except (FileNotFoundError, SnapshotFormatError):  # rebuilt like a changed file
+                    return None
+                if digest != e["files"].get(name):
+                    return None
+                loaded.append(obj)
+            components[comp] = OfflineComponent(loaded[0], plan, loaded[1:])
     except (AttributeError, KeyError, TypeError, ValueError, FieldError) as exc:
         log.warning("malformed manifest %s (%s: %s); rebuilding",
                     manifest_path, type(exc).__name__, exc)
@@ -400,7 +405,7 @@ def run_offline(cfg: ExperimentConfig, prob: Problem | None = None) -> OfflineRe
         written[name] = pod.save_basis(component_basis(prob, comp, proj_thr),
                                        os.path.join(out_dir, name))
     # pass 2: both bases as every later command reads them
-    bases = {comp: pod.load_basis(os.path.join(out_dir, name))
+    bases = {comp: pod.load_basis(os.path.join(out_dir, name))[0]
              for comp, name in basis_files.items()}
     outcomes = _on_two_threads(lambda comp: offline_component(bases[comp], enc_thr, cfg.chi_cap))
 

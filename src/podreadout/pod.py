@@ -10,18 +10,14 @@ spectrum drives both the truncation estimator and the basis count choice.
 
 from __future__ import annotations
 
-import hashlib
-import struct
 from dataclasses import dataclass, replace
-from pathlib import Path
 
 import numpy as np
 
 from .errors import FieldError, SnapshotFormatError
-from .io_util import atomic_write_bytes
+from .io_util import read_artifact, write_artifact
 
 BASIS_MAGIC = b"PODB"
-BASIS_VERSION = 1
 
 
 @dataclass(frozen=True)
@@ -135,34 +131,21 @@ def exact_projection_error(x, basis: PodBasisSet, n_b: int | None = None) -> flo
 
 
 def save_basis(basis: PodBasisSet, path) -> str:
-    """Persist: magic, version, n, m, n_b, sigma, u column-major, v column-major.
-    Returns the sha256 of the bytes written."""
-    n, m = basis.n, basis.m
-    data = bytearray(20 + 8 * (m + n * m + m * m))
-    data[:20] = BASIS_MAGIC + struct.pack("<IIII", BASIS_VERSION, n, m, basis.n_b)
-    # each array is copied once, straight into the file image
-    body = np.frombuffer(data, dtype="<f8", offset=20)
-    body[:m] = basis.sigma
-    body[m:m + n * m].reshape((n, m), order="F")[...] = basis.u
-    body[m + n * m:].reshape((m, m), order="F")[...] = basis.v
-    atomic_write_bytes(path, data)
-    return hashlib.sha256(data).hexdigest()
+    """Persist: magic, header fields n, m, n_b, then sigma, u column-major,
+    v column-major.  Returns the sha256 of the bytes written."""
+    # u.T and v.T in C order are u and v column-major, so each is copied once
+    return write_artifact(path, BASIS_MAGIC, (basis.n, basis.m, basis.n_b),
+                          (basis.sigma, basis.u.T, basis.v.T))
 
 
-def load_basis(path) -> PodBasisSet:
-    data = Path(path).read_bytes()
-    if len(data) < 20:
-        raise SnapshotFormatError(f"truncated basis header: {len(data)} bytes")
-    if data[:4] != BASIS_MAGIC:
-        raise SnapshotFormatError(f"bad magic {data[:4]!r}, expected {BASIS_MAGIC!r}")
-    version, n, m, n_b = struct.unpack("<IIII", data[4:20])
-    if version != BASIS_VERSION:
-        raise SnapshotFormatError(f"unsupported basis version {version}")
-    expected = 20 + 8 * (m + n * m + m * m)
-    if len(data) != expected:
-        raise SnapshotFormatError(f"truncated basis payload: {len(data)} != {expected}")
-    raw = np.frombuffer(data, dtype="<f8", offset=20)
+def load_basis(path):
+    """(PodBasisSet, sha256 of the bytes read) of a basis file."""
+    (n, m, n_b), payload, digest = read_artifact(path, BASIS_MAGIC, 3)
+    expected = 8 * (m + n * m + m * m)
+    if len(payload) != expected:
+        raise SnapshotFormatError(f"truncated basis payload: {len(payload)} != {expected}")
+    raw = np.frombuffer(payload, dtype="<f8")
     sigma = raw[:m].copy()
     u = raw[m:m + n * m].reshape((n, m), order="F").copy()
     v = raw[m + n * m:].reshape((m, m), order="F").copy()
-    return PodBasisSet(u=u, sigma=sigma, v=v, n_b=int(n_b))
+    return PodBasisSet(u=u, sigma=sigma, v=v, n_b=n_b), digest

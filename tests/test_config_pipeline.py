@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from podreadout import mps, pipeline, pod, readout
+from podreadout import flow, mps, pipeline, pod, readout
 from podreadout.cli import main
 from podreadout.config import (
     CASE_THRESHOLDS,
@@ -267,6 +267,31 @@ class TestOffline:
         assert path.read_bytes() == good
         assert run_offline(cfg).reused
 
+    @pytest.mark.parametrize("change", ["flipped", "truncated", "deleted"])
+    def test_changed_artifact_rebuilds(self, tmp_path, caplog, change):
+        """A listed file whose bytes changed, that no longer parses or that is
+        gone is rebuilt without a warning, into the same manifest bytes."""
+        cfg = transient_config(tmp_path / "out")
+        run_offline(cfg)
+        out = Path(cfg.out_dir)
+        good = (out / "manifest.json").read_bytes()
+        if change == "flipped":
+            path = out / "uy_mps_00.podm"
+            data = bytearray(path.read_bytes())
+            data[-8] ^= 1  # the last value's lowest mantissa byte
+            path.write_bytes(bytes(data))
+        elif change == "truncated":
+            path = out / "ux_basis.podb"
+            path.write_bytes(path.read_bytes()[:-8])
+        else:
+            n_b = json.loads(good)["components"]["ux"]["n_b"]
+            (out / f"ux_mps_{n_b - 1:02d}.podm").unlink()
+        with caplog.at_level(logging.WARNING, logger="podreadout"):
+            assert not run_offline(cfg).reused
+        assert caplog.records == []
+        assert (out / "manifest.json").read_bytes() == good
+        assert run_offline(cfg).reused
+
     def test_both_bases_before_any_bond_search(self, tmp_path, monkeypatch):
         calls = []
         for mod, name in ((pod, "pod_decompose"), (mps, "search_bond_plan")):
@@ -356,6 +381,8 @@ class TestOffline:
         assert run_offline(cfg).reused
 
     def test_ingested_files_hashed_once_per_offline(self, tmp_path, monkeypatch):
+        """Each ingested file is read once per offline, in order; that read is
+        its only hash."""
         paths = [str(tmp_path / f"{comp}.pods") for comp in ("ux", "uy")]
 
         def ingest(seed):
@@ -368,20 +395,20 @@ class TestOffline:
             snapshot_uy=paths[1], target_index=7, chi_cap=8,
             out_dir=str(tmp_path / "out"), shot_grid=(1000,), seeds=(0,),
         )
-        hashed = []
-        sha256_file = pipeline.sha256_file
+        read = []
+        read_snapshot_file = flow.read_snapshot_file
 
         def spy(path):
-            hashed.append(str(path))
-            return sha256_file(path)
+            read.append(str(path))
+            return read_snapshot_file(path)
 
-        monkeypatch.setattr(pipeline, "sha256_file", spy)
+        monkeypatch.setattr(flow, "read_snapshot_file", spy)
         # built, reused, then rebuilt from files rewritten in place
         for seed, reused in ((1, False), (1, True), (2, False)):
             ingest(seed)
-            hashed.clear()
+            read.clear()
             assert run_offline(cfg).reused is reused
-            assert [p for p in hashed if p in paths] == paths
+            assert read == paths
 
 
 class TestSweep:

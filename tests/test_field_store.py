@@ -104,7 +104,7 @@ def test_store_holds_every_solve_state_ladder_points_included(tmp_path, solves):
     assert len(os.listdir(tmp_path)) == 3
     run = flow.solve_cavity_run(250.0, *SOLVE[1:3], start=cache.state(200, *SOLVE[1:]))
     key = cavity_field_key(250.0, *SOLVE[1:])
-    psi, omega = read_snapshot_file(tmp_path / f"{key}.pods")
+    (psi, omega), _ = read_snapshot_file(tmp_path / f"{key}.pods")
     assert psi.grid().tobytes() == run.psi.tobytes()
     assert omega.grid().tobytes() == run.omega.tobytes()
     assert ux.values.tobytes() == run.u_x.values.tobytes()
@@ -140,7 +140,7 @@ def _non_finite(path, good):
 
 
 def _three_fields(path, good):
-    psi, omega = read_snapshot_file(path)
+    (psi, omega), _ = read_snapshot_file(path)
     write_snapshot_file([psi, omega, psi], path)
 
 
@@ -186,7 +186,7 @@ def test_solve_fills_the_store_for_offline_and_sweep(tmp_path, monkeypatch):
     cfg_path = write_problem_config(tmp_path, "cavity")
     assert main(["--config", str(cfg_path), "solve"]) == 0
     assert len(os.listdir(tmp_path / "out" / "fields")) == 3
-    assert len(read_snapshot_file(tmp_path / "out" / "ensemble_ux.pods")) == 2
+    assert len(read_snapshot_file(tmp_path / "out" / "ensemble_ux.pods")[0]) == 2
 
     def no_solve(*args, **kwargs):
         raise AssertionError("cavity solved again after podr solve")

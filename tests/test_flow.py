@@ -1,3 +1,4 @@
+import hashlib
 import os
 import subprocess
 import sys
@@ -213,15 +214,16 @@ class TestSnapshotFiles:
     def test_zero_field_roundtrip(self, tmp_path):
         path = tmp_path / "zeros.pods"
         fields = [Field2D(4, 4, np.zeros(16))]
-        write_snapshot_file(fields, path)
-        back = read_snapshot_file(path)
+        written = write_snapshot_file(fields, path)
+        back, digest = read_snapshot_file(path)
+        assert digest == written == hashlib.sha256(path.read_bytes()).hexdigest()
         assert len(back) == 1
         assert np.array_equal(back[0].values, fields[0].values)
 
     def test_cavity_ensemble_roundtrips_bitwise(self, tmp_path, cavity_ensemble):
         path = tmp_path / "ens.pods"
         write_snapshot_file(cavity_ensemble["ux"], path)
-        back = read_snapshot_file(path)
+        back, _ = read_snapshot_file(path)
         for orig, rt in zip(cavity_ensemble["ux"], back):
             assert orig.values.tobytes() == rt.values.tobytes()
 
@@ -237,7 +239,7 @@ class TestSnapshotFiles:
         fields = [Field2D(nx, ny, rng.normal(size=nx * ny)) for _ in range(count)]
         path = tmp_path_factory.mktemp("rt") / "f.pods"
         write_snapshot_file(fields, path)
-        back = read_snapshot_file(path)
+        back, _ = read_snapshot_file(path)
         assert all(
             np.array_equal(a.values, b.values) for a, b in zip(fields, back)
         )

@@ -1,3 +1,4 @@
+import hashlib
 import warnings
 from unittest import mock
 
@@ -663,8 +664,9 @@ class TestPersistence:
         x = np.random.default_rng(3).normal(size=64)
         m = tt_svd(x, 4)
         path = tmp_path / "m.podm"
-        save_mps(m, path)
-        back = load_mps(path)
+        written = save_mps(m, path)
+        back, digest = load_mps(path)
+        assert digest == written == hashlib.sha256(path.read_bytes()).hexdigest()
         assert back.n_qubits == m.n_qubits
         for a, b in zip(m.cores, back.cores):
             assert a.tobytes() == b.tobytes()

@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -285,8 +287,9 @@ class TestPersistence:
     def test_roundtrip(self, tmp_path):
         b = pod_decompose(random_matrix(32, 4, seed=33)).with_nb(2)
         path = tmp_path / "basis.podb"
-        save_basis(b, path)
-        back = load_basis(path)
+        written = save_basis(b, path)
+        back, digest = load_basis(path)
+        assert digest == written == hashlib.sha256(path.read_bytes()).hexdigest()
         assert back.n_b == 2
         assert np.array_equal(back.u, b.u)
         assert np.array_equal(back.sigma, b.sigma)

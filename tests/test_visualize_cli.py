@@ -1,5 +1,8 @@
+import builtins
+import collections
 import importlib
 import inspect
+import io
 import json
 import logging
 import os
@@ -14,18 +17,17 @@ import pytest
 import podreadout
 from podreadout import flow, pipeline, pod
 from podreadout.cli import main
-from podreadout.config import ExperimentConfig
+from podreadout.config import ExperimentConfig, load_config, validate_config
 from podreadout.errors import NumericalError
 from podreadout.flow import (
     SNAPSHOT_MAGIC,
-    SNAPSHOT_VERSION,
     Field2D,
     read_snapshot_csv,
     read_snapshot_file,
     transient_pair,
     write_snapshot_file,
 )
-from podreadout.io_util import atomic_write_text
+from podreadout.io_util import ARTIFACT_VERSION, atomic_write_text
 from podreadout.mps import contract, tt_svd
 from podreadout.pipeline import harmonized_shots, problem_of, run_offline
 from podreadout.visualize import (
@@ -255,7 +257,7 @@ class TestCli:
     def test_solve_writes_snapshot_files(self, tmp_path):
         cfg_path = write_config(tmp_path)
         assert main(["--config", str(cfg_path), "solve"]) == 0
-        ens = read_snapshot_file(tmp_path / "out" / "ensemble_ux.pods")
+        ens, _ = read_snapshot_file(tmp_path / "out" / "ensemble_ux.pods")
         assert len(ens) == 13
 
     def test_readout_and_visualize(self, tmp_path, capsys):
@@ -373,7 +375,7 @@ class TestCli:
         out_pods = tmp_path / "joined.pods"
         assert main(["ingest", *[str(tmp_path / f"snap{k}.csv") for k in range(3)],
                      "--to", str(out_pods)]) == 0
-        back = read_snapshot_file(out_pods)
+        back, _ = read_snapshot_file(out_pods)
         assert len(back) == 3
         assert np.allclose(back[0].values, grids[0].values)
         assert main(["ingest", str(out_pods)]) == 0
@@ -442,18 +444,20 @@ def test_missing_ingested_file_exits_2_naming_it(tmp_path, capsys, argv):
 
 @pytest.mark.parametrize("command", ["sweep", "readout", "visualize"])
 def test_ingested_command_reads_and_hashes_each_file_once(tmp_path, monkeypatch, command):
+    """Each ingested file is read once, in order, and that read is its only
+    hash: the command reuses the artifacts offline built from those digests."""
     cfg_path = write_problem_config(tmp_path, "ingested")
     assert main(["--config", str(cfg_path), "offline"]) == 0
     paths = [str(tmp_path / "ux.pods"), str(tmp_path / "uy.pods")]
-    read, hashed = [], []
-    real_read, real_hash = flow.read_snapshot_file, pipeline.sha256_file
+    read, results = [], []
+    real_read, real_offline = flow.read_snapshot_file, pipeline.run_offline
     monkeypatch.setattr(flow, "read_snapshot_file",
                         lambda path: read.append(str(path)) or real_read(path))
-    monkeypatch.setattr(pipeline, "sha256_file",
-                        lambda path: hashed.append(str(path)) or real_hash(path))
+    monkeypatch.setattr(pipeline, "run_offline",
+                        lambda *args: results.append(real_offline(*args)) or results[-1])
     assert main(["--config", str(cfg_path), command]) == 0
     assert read == paths
-    assert [p for p in hashed if p in paths] == paths
+    assert [r.reused for r in results] == [True]
 
 
 NO_AXIS = {
@@ -465,16 +469,15 @@ NO_AXIS = {
 
 @pytest.mark.parametrize("study", NO_AXIS)
 def test_ingested_study_refuses_before_any_read_or_hash(tmp_path, capsys, monkeypatch, study):
+    """Nothing is read, so nothing is hashed: a read is the only hash."""
     cfg_path = write_problem_config(tmp_path, "ingested")
-    read, hashed = [], []
-    real_read, real_hash = flow.read_snapshot_file, pipeline.sha256_file
+    read = []
+    real_read = flow.read_snapshot_file
     monkeypatch.setattr(flow, "read_snapshot_file",
                         lambda path: read.append(str(path)) or real_read(path))
-    monkeypatch.setattr(pipeline, "sha256_file",
-                        lambda path: hashed.append(str(path)) or real_hash(path))
     assert main(["--config", str(cfg_path), *STUDIES[study]]) == 2
     assert capsys.readouterr().err == f"error: {NO_AXIS[study]}\n"
-    assert (read, hashed) == ([], [])
+    assert read == []
 
 
 class SerialThread:
@@ -548,9 +551,9 @@ def test_offline_raises_the_first_failing_component(tmp_path, capsys, monkeypatc
     real_load, real_component = pod.load_basis, pipeline.offline_component
 
     def load(path):
-        basis = real_load(path)
+        basis, digest = real_load(path)
         bases[os.path.basename(path).split("_")[0]] = basis
-        return basis
+        return basis, digest
 
     def component(basis, *args):
         comp = next(c for c, b in bases.items() if b is basis)
@@ -650,6 +653,39 @@ def test_out_under_a_regular_file_exits_2_naming_it(tmp_path, capsys):
     assert blocker.read_text() == "not a directory\n"
 
 
+def test_empty_out_exits_2_and_writes_nothing(tmp_path, capsys):
+    """An empty --out overrides out_dir, which validation refuses; it does not
+    fall back to the config's out_dir."""
+    cfg_path = write_config(tmp_path)
+    assert main(["--config", str(cfg_path), "--out", "", "solve"]) == 2
+    assert capsys.readouterr().err == "error: out_dir must be a path, got ''\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json"]
+
+
+@pytest.mark.parametrize("rerun", ["run_offline", "sweep"])
+def test_reuse_reads_each_artifact_once(tmp_path, monkeypatch, rerun):
+    """A run that reuses stored artifacts opens each .podb and .podm file for
+    reading exactly once: loading it gives the digest it is checked against."""
+    cfg_path = write_config(tmp_path)
+    assert main(["--config", str(cfg_path), "offline"]) == 0
+    names = [p.name for p in (tmp_path / "out").iterdir() if p.suffix in (".podb", ".podm")]
+    reads = collections.Counter()
+    real_open = builtins.open  # io.open too, which pathlib calls
+
+    def counting_open(file, mode="r", *args, **kwargs):
+        if "r" in mode and str(file).endswith((".podb", ".podm")):
+            reads[os.path.basename(str(file))] += 1
+        return real_open(file, mode, *args, **kwargs)
+
+    monkeypatch.setattr(builtins, "open", counting_open)
+    monkeypatch.setattr(io, "open", counting_open)
+    if rerun == "sweep":
+        assert main(["--config", str(cfg_path), "sweep"]) == 0
+    else:
+        assert run_offline(validate_config(load_config(str(cfg_path)))).reused
+    assert reads == collections.Counter(names)
+
+
 @pytest.mark.parametrize("form", ["csv", "pods"])
 def test_ingest_of_a_non_finite_value_exits_2_naming_it(tmp_path, capsys, form):
     grid = np.ones((8, 16))
@@ -661,7 +697,7 @@ def test_ingest_of_a_non_finite_value_exits_2_naming_it(tmp_path, capsys, form):
     else:
         # Field2D refuses a NaN, so snapshot 1's payload is written by hand
         bad = tmp_path / "nan.pods"
-        bad.write_bytes(SNAPSHOT_MAGIC + struct.pack("<IIII", SNAPSHOT_VERSION, 2, 16, 8)
+        bad.write_bytes(SNAPSHOT_MAGIC + struct.pack("<IIII", ARTIFACT_VERSION, 2, 16, 8)
                         + np.concatenate([np.ones(128), grid.ravel()]).astype("<f8").tobytes())
         argv, where = ["ingest", str(bad)], "snapshot 1: "
     assert main(argv) == 2
@@ -680,7 +716,7 @@ def test_ingest_of_an_empty_csv_exits_2_naming_it(tmp_path, capsys, recwarn):
 
 def test_ingested_target_with_an_infinite_norm_names_the_target(tmp_path, capsys, recwarn):
     cfg_path = write_problem_config(tmp_path, "ingested")
-    fields = read_snapshot_file(tmp_path / "ux.pods")
+    fields, _ = read_snapshot_file(tmp_path / "ux.pods")
     # the target's (index 7) squared entries overflow, so its norm is infinite
     fields[7] = Field2D(32, 32, fields[7].values * 1e200)
     write_snapshot_file(fields, tmp_path / "ux.pods")
@@ -692,7 +728,7 @@ def test_ingested_target_with_an_infinite_norm_names_the_target(tmp_path, capsys
 
 def test_ingest_of_an_empty_snapshot_file_exits_2_naming_it(tmp_path, capsys):
     empty = tmp_path / "empty.pods"
-    empty.write_bytes(SNAPSHOT_MAGIC + struct.pack("<IIII", SNAPSHOT_VERSION, 0, 32, 32))
+    empty.write_bytes(SNAPSHOT_MAGIC + struct.pack("<IIII", ARTIFACT_VERSION, 0, 32, 32))
     assert main(["ingest", str(empty)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and str(empty) in err and "no snapshots" in err
