@@ -2,7 +2,10 @@
 
 The config hash covers every field that can influence numbers; out_dir is an
 execution detail and stays out of it, which is what lets a rerun into a
-fresh directory reproduce byte-identical CSV output.
+fresh directory reproduce byte-identical CSV output.  The offline hash
+covers only the keys the offline stage reads (OFFLINE_KEYS) and the
+ingested files' digests: it keys the reuse of offline artifacts, so a
+change to a sweep-only key such as seeds or shot_grid reuses them.
 """
 
 from __future__ import annotations
@@ -53,7 +56,6 @@ class ExperimentConfig:
     chi_cap: int = 16
     solver_tol: float = 1e-6
     max_iters: int = 400_000
-    lid_speed: float = 1.0
     # online-stage knobs
     fsr_cutoff: float = 1e-4
     sign_oracle: bool = True
@@ -72,6 +74,10 @@ class ExperimentConfig:
 
 _FIELD_NAMES = {f for f in ExperimentConfig.__dataclass_fields__}
 _HASH_EXCLUDED = {"out_dir"}
+# the keys that decide a config's offline artifacts: the problem's training
+# fields, the case thresholds, the solver and the bond cap
+OFFLINE_KEYS = ("problem", "nx", "ny", "case", "reynolds", "window", "period",
+                "transient_seed", "target_index", "solver_tol", "max_iters", "chi_cap")
 
 
 def _is_int(v, low=0) -> bool:
@@ -108,7 +114,6 @@ _CHECKS = {
     "chi_cap": (_is_pow2, "a power of two"),
     "solver_tol": (lambda v: _is_number(v) and v > 0, "a positive number"),
     "max_iters": (_is_int, "a nonnegative integer"),
-    "lid_speed": (lambda v: _is_number(v) and v != 0, "a nonzero number"),
     "fsr_cutoff": (lambda v: _is_number(v) and 0.0 < v < 1.0, "a number in (0, 1)"),
     "sign_oracle": (lambda v: isinstance(v, bool), "true or false"),
     "param_sweep": (lambda v: v is None or bool(v), "a nonempty list"),
@@ -221,10 +226,22 @@ def load_config(path) -> ExperimentConfig:
     return config_from_dict(doc)
 
 
+def _digest(doc: dict) -> str:
+    canon = json.dumps(doc, sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(canon.encode()).hexdigest()[:16]
+
+
 def config_hash(cfg: ExperimentConfig) -> str:
     """16-hex-digit digest over the result-determining fields."""
     doc = asdict(cfg)
     for key in _HASH_EXCLUDED:
         doc.pop(key, None)
-    canon = json.dumps(doc, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(canon.encode()).hexdigest()[:16]
+    return _digest(doc)
+
+
+def offline_hash(cfg: ExperimentConfig, snapshot_digests: dict | None) -> str:
+    """16-hex-digit digest over OFFLINE_KEYS and the sha256 of each ingested
+    snapshot file (None for the built-in problems)."""
+    doc = {key: getattr(cfg, key) for key in OFFLINE_KEYS}
+    doc["snapshot_sha256"] = snapshot_digests
+    return _digest(doc)

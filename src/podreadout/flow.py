@@ -110,22 +110,23 @@ def _velocity(psi, dx, dy):
             -(psi[1:-1, 2:] - psi[1:-1, :-2]) / (2.0 * dx))
 
 
-def cavity_velocities(psi, lid_speed):
+def cavity_velocities(psi):
     """(u_x, u_y) of a cavity stream-function grid: the solver's central
-    differences inside, no slip on the walls and lid_speed on the interior
-    top nodes (the corners stay no-slip)."""
+    differences inside, no slip on the walls and the unit lid speed on the
+    interior top nodes (the corners stay no-slip)."""
     ny, nx = psi.shape
     u, v = (np.pad(w, 1) for w in _velocity(psi, 1.0 / (nx - 1), 1.0 / (ny - 1)))
-    u[-1, 1:-1] = lid_speed
+    u[-1, 1:-1] = 1.0
     return Field2D.from_grid(u), Field2D.from_grid(v)
 
 
-def _residuals(psi, omega, nu, dx, dy, lid):
-    """Set the Thom wall vorticity (lid on the top row); return the interior
-    Poisson and transport residuals, velocities and vorticity gradients."""
+def _residuals(psi, omega, nu, dx, dy):
+    """Set the Thom wall vorticity (the unit-speed lid on the top row); return
+    the interior Poisson and transport residuals, velocities and vorticity
+    gradients."""
     cx, cy = 1.0 / (dx * dx), 1.0 / (dy * dy)
     omega[0, :] = -2.0 * psi[1, :] * cy
-    omega[-1, :] = -2.0 * psi[-2, :] * cy - 2.0 * lid / dy
+    omega[-1, :] = -2.0 * psi[-2, :] * cy - 2.0 / dy
     omega[:, 0] = -2.0 * psi[:, 1] * cx
     omega[:, -1] = -2.0 * psi[:, -2] * cx
 
@@ -195,14 +196,14 @@ def _newton_step(f_poisson, f_transport, u, v, wx, wy, nu, dx, dy, store):
     return r[:, :m], r[:, m:]
 
 
-def _newton(re, nx, ny, tol, max_iters, lid, start):
+def _newton(re, nx, ny, tol, max_iters, start):
     """Newton iteration from start (None: rest) until the residual is <= tol."""
     dx, dy, nu = 1.0 / (nx - 1), 1.0 / (ny - 1), 1.0 / re
     psi, omega = np.zeros((2, ny, nx)) if start is None else np.copy(start)
     store = np.empty((ny - 2, 2 * (nx - 2), 2 * (nx - 2)))
     residuals = []
     for it in range(max_iters + 1):
-        f_poisson, f_transport, u, v, wx, wy = _residuals(psi, omega, nu, dx, dy, lid)
+        f_poisson, f_transport, u, v, wx, wy = _residuals(psi, omega, nu, dx, dy)
         res = float(max(np.abs(f_poisson).max(), np.abs(f_transport).max()))
         residuals.append(res)
         if res <= tol:
@@ -231,17 +232,17 @@ def solve_cavity_run(
     ny: int,
     tol: float = 1e-6,
     max_iters: int = 400_000,
-    lid_speed: float = 1.0,
     start=None,
 ) -> CavityRun:
     """Solve the steady lid-driven cavity and keep the diagnostics.
 
-    Newton's method on the discrete steady equations, stopped once the
-    largest interior residual is at most tol; max_iters bounds the Newton
-    steps.  start is the (psi, omega) pair of (ny, nx) grids to begin from,
-    normally the solution at ladder_below(re) with the same other
-    arguments; None begins from rest.  The result is a pure function of the
-    arguments, bit for bit.
+    The cavity is the unit square under a lid of unit speed, so re is the
+    flow's Reynolds number (nu = 1/re).  Newton's method on the discrete
+    steady equations, stopped once the largest interior residual is at most
+    tol; max_iters bounds the Newton steps.  start is the (psi, omega) pair
+    of (ny, nx) grids to begin from, normally the solution at
+    ladder_below(re) with the same other arguments; None begins from rest.
+    The result is a pure function of the arguments, bit for bit.
     """
     _check_reynolds(re)
     if nx < 16 or ny < 16:
@@ -251,8 +252,8 @@ def solve_cavity_run(
     if not (_is_pow2(nx) and _is_pow2(ny)):
         raise FieldError(f"grid {nx}x{ny} is not a power of two per side")
 
-    psi, omega, residuals = _newton(re, nx, ny, tol, max_iters, lid_speed, start)
-    u_x, u_y = cavity_velocities(psi, lid_speed)
+    psi, omega, residuals = _newton(re, nx, ny, tol, max_iters, start)
+    u_x, u_y = cavity_velocities(psi)
     return CavityRun(psi=psi, omega=omega, u_x=u_x, u_y=u_y,
                      residuals=residuals, iterations=len(residuals) - 1)
 
@@ -320,11 +321,10 @@ def write_snapshot_file(fields, path) -> str:
                           [f.values for f in fields])
 
 
-def read_snapshot_file(path):
-    """(list of Field2D, sha256 of the bytes read) of a binary snapshot file."""
-    (count, nx, ny), payload, digest = read_artifact(path, SNAPSHOT_MAGIC, 3)
+def _snapshots(header, payload):
+    count, nx, ny = header
     if count == 0:
-        raise SnapshotFormatError(f"{path} holds no snapshots")
+        raise SnapshotFormatError("the file holds no snapshots")
     expected = count * nx * ny * 8
     if len(payload) != expected:
         raise SnapshotFormatError(
@@ -338,7 +338,12 @@ def read_snapshot_file(path):
             fields.append(Field2D(nx=nx, ny=ny, values=chunk))
         except FieldError as exc:
             raise SnapshotFormatError(f"snapshot {k}: {exc}") from exc
-    return fields, digest
+    return fields
+
+
+def read_snapshot_file(path):
+    """(list of Field2D, sha256 of the bytes read) of a binary snapshot file."""
+    return read_artifact(path, SNAPSHOT_MAGIC, 3, _snapshots)
 
 
 def read_snapshot_csv(path) -> Field2D:

@@ -1,7 +1,8 @@
 """Atomic file writes, and the one layout of the .pods, .podb and .podm files:
 a 4-byte magic, the u32 ARTIFACT_VERSION, the format's u32 header fields,
 then a little-endian payload.  Only write_artifact and read_artifact know it
-or hash an artifact, each from the very bytes it writes or parses.
+or hash an artifact, each from the very bytes it writes or parses, and
+read_artifact names the file in every format error of a read.
 """
 
 from __future__ import annotations
@@ -55,18 +56,24 @@ def write_artifact(path, magic: bytes, fields, arrays) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
-def read_artifact(path, magic: bytes, n_fields: int):
-    """(fields, payload, sha256) from one read of path: the n_fields u32 header
-    fields, a view of the bytes after them and the whole file's sha256.  A short
-    header, another magic or another version is a SnapshotFormatError."""
+def read_artifact(path, magic: bytes, n_fields: int, parse):
+    """(parse(fields, payload), sha256) from one read of path: parse gets the
+    n_fields u32 header fields and a view of the bytes after them, and the
+    digest is the whole file's.  A short header, another magic or another
+    version is a SnapshotFormatError, and so is each one parse raises; every
+    one names path."""
     with open(path, "rb") as fh:
         data = fh.read()
     size = 4 * (n_fields + 2)
-    if len(data) < size:
-        raise SnapshotFormatError(f"truncated header: {len(data)} bytes, need {size}")
-    if data[:4] != magic:
-        raise SnapshotFormatError(f"bad magic {data[:4]!r}, expected {magic!r}")
-    version, *fields = struct.unpack(f"<{n_fields + 1}I", data[4:size])
-    if version != ARTIFACT_VERSION:
-        raise SnapshotFormatError(f"unsupported {magic.decode()} version {version}")
-    return fields, memoryview(data)[size:], hashlib.sha256(data).hexdigest()
+    try:
+        if len(data) < size:
+            raise SnapshotFormatError(f"truncated header: {len(data)} bytes, need {size}")
+        if data[:4] != magic:
+            raise SnapshotFormatError(f"bad magic {data[:4]!r}, expected {magic!r}")
+        version, *fields = struct.unpack(f"<{n_fields + 1}I", data[4:size])
+        if version != ARTIFACT_VERSION:
+            raise SnapshotFormatError(f"unsupported {magic.decode()} version {version}")
+        obj = parse(fields, memoryview(data)[size:])
+    except SnapshotFormatError as exc:
+        raise SnapshotFormatError(f"{path}: {exc}") from exc
+    return obj, hashlib.sha256(data).hexdigest()

@@ -286,9 +286,8 @@ def save_mps(m: MpsVector, path) -> str:
     return write_artifact(path, MPS_MAGIC, (m.n_qubits, len(m.cores)), arrays)
 
 
-def load_mps(path):
-    """(MpsVector, sha256 of the bytes read) of an MPS file."""
-    (n_qubits, n_cores), payload, digest = read_artifact(path, MPS_MAGIC, 2)
+def _mps(header, payload):
+    n_qubits, n_cores = header
     pos = 0
     cores = []
     for k in range(n_cores):
@@ -304,4 +303,9 @@ def load_mps(path):
         pos += nbytes
     if pos != len(payload):
         raise SnapshotFormatError(f"{len(payload) - pos} trailing bytes in MPS file")
-    return MpsVector(n_qubits=n_qubits, cores=cores), digest
+    return MpsVector(n_qubits=n_qubits, cores=cores)
+
+
+def load_mps(path):
+    """(MpsVector, sha256 of the bytes read) of an MPS file."""
+    return read_artifact(path, MPS_MAGIC, 2, _mps)

@@ -29,8 +29,7 @@ Every CSV is written by write_csv from dict rows, the same rows the stages
 return.  The output is deterministic for a given config: fixed row order,
 17-significant-digit float formatting, randomness derived only from the
 config's seeds and the cell coordinates.  No stage reads a clock yet, so
-timing is not recorded; the wall_ms column exists for schema compatibility
-and is always 0.
+timing is not recorded.
 """
 
 from __future__ import annotations
@@ -50,7 +49,8 @@ from pathlib import Path
 import numpy as np
 
 from . import circuit, flow, mps, pod, readout
-from .config import CASE_THRESHOLDS, METHODS, ExperimentConfig, config_hash, validate_config
+from .config import (CASE_THRESHOLDS, METHODS, ExperimentConfig, config_hash, offline_hash,
+                     validate_config)
 from .errors import ConfigError, FieldError, NumericalError, SnapshotFormatError
 from .io_util import atomic_write_text
 
@@ -60,7 +60,7 @@ COMPONENTS = ("ux", "uy")
 
 SWEEP_HEADER = (
     "config_hash,method,component,N,n_shot_total,n_b,seed,epsilon,"
-    "e_proj,e_enc,e_sam_bound,kept_modes,wall_ms"
+    "e_proj,e_enc,e_sam_bound,kept_modes"
 )
 MEDIAN_HEADER = "config_hash,method,component,n_shot_total,median_epsilon"
 PARAM_HEADER = (
@@ -96,7 +96,7 @@ def _solver_digest() -> str:
     return hashlib.sha256(Path(flow.__file__).read_bytes()).hexdigest()
 
 
-def cavity_field_key(re, nx, ny, tol, max_iters, lid_speed) -> str:
+def cavity_field_key(re, nx, ny, tol, max_iters) -> str:
     """Store key of one cavity solve: a digest of the stored layout (psi, then
     omega) and of everything that decides the solve.
 
@@ -105,7 +105,7 @@ def cavity_field_key(re, nx, ny, tol, max_iters, lid_speed) -> str:
     at the thread count that wrote it (scripts/output_digests.py pins 1).
     """
     doc = ["cavity", "psi,omega", float(re), int(nx), int(ny), float(tol), int(max_iters),
-           float(lid_speed), _solver_digest()]
+           _solver_digest()]
     return hashlib.sha256(json.dumps(doc).encode()).hexdigest()
 
 
@@ -140,28 +140,27 @@ class FieldCache:
     def __init__(self, store_dir):
         self.store_dir = store_dir
 
-    def state(self, re, nx, ny, tol, max_iters, lid_speed):
+    def state(self, re, nx, ny, tol, max_iters):
         """The (psi, omega) grids of one steady solve."""
-        path = os.path.join(
-            self.store_dir, cavity_field_key(re, nx, ny, tol, max_iters, lid_speed) + ".pods")
+        path = os.path.join(self.store_dir,
+                            cavity_field_key(re, nx, ny, tol, max_iters) + ".pods")
         state = _load_stored_state(path, nx, ny)
         if state is not None:
             log.info("cavity Re=%g on %dx%d loaded from store", re, nx, ny)
             return state
         below = flow.ladder_below(re)
-        start = None if below is None else self.state(below, nx, ny, tol, max_iters, lid_speed)
-        run = flow.solve_cavity_run(re, nx, ny, tol=tol, max_iters=max_iters,
-                                    lid_speed=lid_speed, start=start)
+        start = None if below is None else self.state(below, nx, ny, tol, max_iters)
+        run = flow.solve_cavity_run(re, nx, ny, tol=tol, max_iters=max_iters, start=start)
         log.info("cavity Re=%g on %dx%d solved in %d iterations, final residual %.3e",
                  re, nx, ny, run.iterations, run.residuals[-1])
         os.makedirs(self.store_dir, exist_ok=True)
         flow.write_snapshot_file(map(flow.Field2D.from_grid, (run.psi, run.omega)), path)
         return run.psi, run.omega
 
-    def cavity(self, re, nx, ny, tol, max_iters, lid_speed):
+    def cavity(self, re, nx, ny, tol, max_iters):
         """The (u_x, u_y) fields of one steady solve."""
-        psi, _ = self.state(re, nx, ny, tol, max_iters, lid_speed)
-        return flow.cavity_velocities(psi, lid_speed)
+        psi, _ = self.state(re, nx, ny, tol, max_iters)
+        return flow.cavity_velocities(psi)
 
 
 @dataclass(frozen=True)
@@ -234,8 +233,7 @@ def problem_of(cfg: ExperimentConfig, cache: FieldCache | None = None,
             cache = FieldCache(os.path.join(cfg.out_dir, "fields"))
 
         def pair(re):
-            return cache.cavity(re, cfg.nx, cfg.ny, cfg.solver_tol, cfg.max_iters,
-                                cfg.lid_speed)
+            return cache.cavity(re, cfg.nx, cfg.ny, cfg.solver_tol, cfg.max_iters)
         labels, target = tuple(cfg.reynolds), cfg.target_reynolds
         # each Re and the midpoints to its neighbours, in the solver's range
         res = sorted(cfg.reynolds)
@@ -334,17 +332,17 @@ def _component_files(comp: str, n_b: int) -> list:
 def _try_reuse(cfg, digests, manifest_path):
     """The OfflineResult manifest_path records, or None when the artifacts must
     be rebuilt: the manifest is missing or malformed (logged), it was written
-    for another config or other snapshot files (digests), or a listed file is
-    missing, unparsable or changed.  Each file is read once: it is loaded, and
-    the sha256 of the bytes loaded is compared with the manifest's."""
+    for other offline inputs (offline_hash of cfg and the snapshot files'
+    digests), or a listed file is missing, unparsable or changed.  Each file
+    is read once: it is loaded, and the sha256 of the bytes loaded is
+    compared with the manifest's."""
     try:
         manifest = json.loads(Path(manifest_path).read_text())
     except (OSError, json.JSONDecodeError):
         return None
     components = {}
     try:
-        if (manifest.get("config_hash"), manifest.get("snapshot_sha256")) != (
-                config_hash(cfg), digests):
+        if manifest.get("offline_hash") != offline_hash(cfg, digests):
             return None
         for comp in COMPONENTS:
             e = manifest["components"][comp]
@@ -373,7 +371,7 @@ def run_offline(cfg: ExperimentConfig, prob: Problem | None = None) -> OfflineRe
 
     Artifacts land in cfg.out_dir together with manifest.json recording the
     selected basis counts, bond plans, estimator values and the sha256 of
-    each file's bytes as written.  A rerun whose config hash and file hashes
+    each file's bytes as written.  A rerun whose offline hash and file hashes
     match loads everything back instead of recomputing.
 
     Pass 1 writes each component's basis in turn; pass 2 reads both back and
@@ -391,7 +389,7 @@ def run_offline(cfg: ExperimentConfig, prob: Problem | None = None) -> OfflineRe
         return reused
 
     manifest = {
-        "config_hash": config_hash(cfg),
+        "offline_hash": offline_hash(cfg, prob.digests),
         "case": cfg.case,
         "thresholds": list(cfg.thresholds),
         "components": {},
@@ -513,7 +511,6 @@ def run_shot_sweep(cfg: ExperimentConfig, offline: OfflineResult,
             "n_shot_requested": n_shot, "n_shot_total": rep.n_shot_total,
             "n_b": rep.n_b or 0, "seed": seed, "epsilon": rep.epsilon, "e_proj": rep.e_proj,
             "e_enc": rep.e_enc, "e_sam_bound": rep.e_sam_bound, "kept_modes": rep.kept_modes,
-            "wall_ms": 0,
         }
 
     rows = list(readouts(cfg, offline, targets, cfg.shot_grid, cfg.seeds, row))

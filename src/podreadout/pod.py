@@ -138,9 +138,8 @@ def save_basis(basis: PodBasisSet, path) -> str:
                           (basis.sigma, basis.u.T, basis.v.T))
 
 
-def load_basis(path):
-    """(PodBasisSet, sha256 of the bytes read) of a basis file."""
-    (n, m, n_b), payload, digest = read_artifact(path, BASIS_MAGIC, 3)
+def _basis(header, payload):
+    n, m, n_b = header
     expected = 8 * (m + n * m + m * m)
     if len(payload) != expected:
         raise SnapshotFormatError(f"truncated basis payload: {len(payload)} != {expected}")
@@ -148,4 +147,9 @@ def load_basis(path):
     sigma = raw[:m].copy()
     u = raw[m:m + n * m].reshape((n, m), order="F").copy()
     v = raw[m + n * m:].reshape((m, m), order="F").copy()
-    return PodBasisSet(u=u, sigma=sigma, v=v, n_b=n_b), digest
+    return PodBasisSet(u=u, sigma=sigma, v=v, n_b=n_b)
+
+
+def load_basis(path):
+    """(PodBasisSet, sha256 of the bytes read) of a basis file."""
+    return read_artifact(path, BASIS_MAGIC, 3, _basis)

@@ -134,7 +134,7 @@ def param_rows(cavity_case1_config, cache, cavity_ensemble):
 @pytest.fixture(scope="session")
 def oracle_256(cache):
     _progress("fine-grid 256x256 reference solve (under a minute, ~560 MiB)")
-    return cache.cavity(100.0, 256, 256, 1e-6, 400_000, 1.0)
+    return cache.cavity(100.0, 256, 256, 1e-6, 400_000)
 
 
 @pytest.fixture(scope="session")

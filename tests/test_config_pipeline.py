@@ -19,6 +19,7 @@ from podreadout.config import (
     config_from_dict,
     config_hash,
     load_config,
+    offline_hash,
 )
 from podreadout.errors import ConfigError, NumericalError
 from podreadout.flow import transient_pair, write_snapshot_file
@@ -150,10 +151,24 @@ class TestConfig:
             config_from_dict(workloads.generate(w, 1, "out"))
 
     def test_shipped_config_hashes_stay_put(self):
-        # the hash keys every stored offline artifact; validation never converts a value
+        # the config hash keys every CSV row and the offline hash every stored
+        # offline artifact; validation never converts a value
         root = Path(__file__).resolve().parents[1] / "configs"
-        assert config_hash(load_config(root / "transient_case1.json")) == "c7782eb27b57f1a9"
-        assert config_hash(load_config(root / "cavity_case1.json")) == "a7f0574663fc19bf"
+        transient = load_config(root / "transient_case1.json")
+        cavity = load_config(root / "cavity_case1.json")
+        assert config_hash(transient) == "24891e84d97cbb3f"
+        assert config_hash(cavity) == "126312a1de4e157a"
+        assert offline_hash(transient, None) == "e1e020b4b14f0d09"
+        assert offline_hash(cavity, None) == "748bfcb810878dea"
+
+    def test_config_naming_lid_speed_exits_2_as_unknown_key(self, tmp_path, capsys):
+        # the solver's lid has unit speed: the Reynolds number alone sets the flow
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({**TRANSIENT_DOC, "lid_speed": 1.0,
+                                    "out_dir": str(tmp_path / "out")}))
+        assert main(["--config", str(path), "offline"]) == 2
+        assert capsys.readouterr().err == "error: unknown config keys: ['lid_speed']\n"
+        assert not (tmp_path / "out").exists()
 
 
 TRANSIENT_DOC = dict(problem="transient", nx=16, ny=16, window=[0, 5], period=8,
@@ -165,8 +180,6 @@ BAD_VALUES = [
     (TRANSIENT_DOC, "beta", "2", "offline"),
     (TRANSIENT_DOC, "solver_tol", "x", "offline"),
     (TRANSIENT_DOC, "max_iters", "x", "offline"),
-    (TRANSIENT_DOC, "lid_speed", "1", "offline"),
-    (TRANSIENT_DOC, "lid_speed", 0, "offline"),
     (TRANSIENT_DOC, "fsr_cutoff", None, "sweep"),
     (TRANSIENT_DOC, "case", ["case1"], "offline"),
     (TRANSIENT_DOC, "transient_seed", -1, "offline"),
@@ -179,7 +192,7 @@ BAD_VALUES = [
     (INGESTED_DOC, "target_index", 2.5, "offline"),
     # json.loads reads NaN, Infinity and -Infinity; json.dumps writes them back
     *[(TRANSIENT_DOC, key, value, "sweep")
-      for key in ("beta", "lid_speed", "solver_tol", "fsr_cutoff")
+      for key in ("beta", "solver_tol", "fsr_cutoff")
       for value in (float("nan"), float("inf"), float("-inf"))],
 ]
 
@@ -245,7 +258,7 @@ class TestOffline:
     def test_changed_config_recomputes(self, tmp_path):
         cfg = transient_config(tmp_path / "out")
         run_offline(cfg)
-        changed = dataclasses.replace(cfg, target_step=26)
+        changed = dataclasses.replace(cfg, transient_seed=8)
         res = run_offline(changed)
         assert not res.reused
 
@@ -424,7 +437,7 @@ class TestSweep:
         header = first.decode().splitlines()[0]
         assert header == (
             "config_hash,method,component,N,n_shot_total,n_b,seed,epsilon,"
-            "e_proj,e_enc,e_sam_bound,kept_modes,wall_ms"
+            "e_proj,e_enc,e_sam_bound,kept_modes"
         )
         h = config_hash(cfg)
         for line in first.decode().splitlines()[1:]:

@@ -20,7 +20,7 @@ from podreadout.pipeline import FieldCache, cavity_field_key
 
 from test_visualize_cli import write_config, write_problem_config
 
-SOLVE = (100.0, 16, 16, 1e-6, 400_000, 1.0)  # re, nx, ny, tol, max_iters, lid
+SOLVE = (100.0, 16, 16, 1e-6, 400_000)  # re, nx, ny, tol, max_iters
 
 
 @pytest.fixture
@@ -67,14 +67,13 @@ def test_sweep_bytes_match_between_store_miss_and_hit(tmp_path, solves):
 
 def test_key_changes_with_each_input(monkeypatch, tmp_path):
     base = cavity_field_key(*SOLVE)
-    assert cavity_field_key(100, 16, 16, 1e-6, 400_000, 1) == base
+    assert cavity_field_key(100, 16, 16, 1e-6, 400_000) == base
     variants = [
-        (200.0, 16, 16, 1e-6, 400_000, 1.0),
-        (100.0, 32, 16, 1e-6, 400_000, 1.0),
-        (100.0, 16, 32, 1e-6, 400_000, 1.0),
-        (100.0, 16, 16, 1e-7, 400_000, 1.0),
-        (100.0, 16, 16, 1e-6, 300_000, 1.0),
-        (100.0, 16, 16, 1e-6, 400_000, 0.5),
+        (200.0, 16, 16, 1e-6, 400_000),
+        (100.0, 32, 16, 1e-6, 400_000),
+        (100.0, 16, 32, 1e-6, 400_000),
+        (100.0, 16, 16, 1e-7, 400_000),
+        (100.0, 16, 16, 1e-6, 300_000),
     ]
     keys = {cavity_field_key(*v) for v in variants}
     assert len(keys) == len(variants) and base not in keys

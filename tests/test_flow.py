@@ -32,8 +32,8 @@ import hashlib, sys
 from podreadout.pipeline import FieldCache
 cache = FieldCache(sys.argv[1])
 for re in sys.argv[2:]:
-    ux, uy = cache.cavity(float(re), 32, 32, 1e-6, 400_000, 1.0)
-psi, omega = cache.state(float(re), 32, 32, 1e-6, 400_000, 1.0)
+    ux, uy = cache.cavity(float(re), 32, 32, 1e-6, 400_000)
+psi, omega = cache.state(float(re), 32, 32, 1e-6, 400_000)
 print(hashlib.sha256(b"".join(a.tobytes() for a in (ux.values, uy.values, psi, omega))).hexdigest())
 """
 
@@ -75,7 +75,7 @@ class TestField2D:
 @pytest.fixture(scope="module")
 def run64(cache):
     # shares the session cache key used by the ensemble fixtures
-    ux, uy = cache.cavity(100.0, 64, 64, TOL, 400_000, 1.0)
+    ux, uy = cache.cavity(100.0, 64, 64, TOL, 400_000)
     return ux, uy
 
 
@@ -106,7 +106,7 @@ class TestCavity:
     def test_residual_tail_monotone(self, tmp_path):
         # a Newton solve from its ladder start takes a handful of steps: its
         # residual falls at each
-        start = FieldCache(str(tmp_path)).state(300.0, 32, 32, 1e-6, 400_000, 1.0)
+        start = FieldCache(str(tmp_path)).state(300.0, 32, 32, 1e-6, 400_000)
         run = solve_cavity_run(400.0, 32, 32, tol=1e-6, start=start)
         tail = run.residuals
         assert len(tail) >= 2 and np.all(tail[1:] < tail[:-1])
@@ -173,7 +173,7 @@ class TestCavity:
         c_fine = centerline(fine_ux)
         errs = {}
         for n in (32, 64):
-            ux, _ = cache.cavity(100.0, n, n, TOL, 400_000, 1.0)
+            ux, _ = cache.cavity(100.0, n, n, TOL, 400_000)
             y_n = np.linspace(0.0, 1.0, n)
             ref = np.interp(y_n, y_fine, c_fine)
             errs[n] = np.linalg.norm(centerline(ux) - ref) / np.linalg.norm(ref)

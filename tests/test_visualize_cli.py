@@ -15,10 +15,10 @@ import numpy as np
 import pytest
 
 import podreadout
-from podreadout import flow, pipeline, pod
+from podreadout import flow, mps, pipeline, pod
 from podreadout.cli import main
 from podreadout.config import ExperimentConfig, load_config, validate_config
-from podreadout.errors import NumericalError
+from podreadout.errors import NumericalError, SnapshotFormatError
 from podreadout.flow import (
     SNAPSHOT_MAGIC,
     Field2D,
@@ -281,6 +281,32 @@ class TestCli:
         assert {name: (out / name).read_bytes() for name in names} == before
         assert main(["--config", str(cfg_path), "offline"]) == 0
         assert "(reused)" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("flags, change, reused", [
+        (["--seed", "5"], {}, True),
+        ([], {"shot_grid": [2000]}, True),
+        ([], {"target_step": 17}, True),
+        ([], {"chi_cap": 16}, False),
+        ([], {"reynolds": [100, 300]}, False),
+    ], ids=["seed", "shot_grid", "target_step", "chi_cap", "reynolds"])
+    def test_offline_reuse_is_keyed_on_the_offline_inputs(
+        self, tmp_path, capsys, flags, change, reused
+    ):
+        """A change to a key only the readouts read reuses the artifacts and
+        keeps manifest.json's bytes; a change to a key the offline stage reads
+        rebuilds them."""
+        base = {}
+        if "reynolds" in change:
+            base = dict(problem="cavity", nx=16, ny=16, reynolds=[100, 200],
+                        target_reynolds=150)
+        manifest = tmp_path / "out" / "manifest.json"
+        assert main(["--config", str(write_config(tmp_path, **base)), "offline"]) == 0
+        before = manifest.read_bytes()
+        capsys.readouterr()
+        cfg_path = write_config(tmp_path, **{**base, **change})
+        assert main(["--config", str(cfg_path), *flags, "offline"]) == 0
+        assert ("(reused)" in capsys.readouterr().out) is reused
+        assert (manifest.read_bytes() == before) is reused
 
     def test_param_study_command(self, tmp_path):
         cfg_path = write_config(tmp_path)
@@ -699,10 +725,40 @@ def test_ingest_of_a_non_finite_value_exits_2_naming_it(tmp_path, capsys, form):
         bad = tmp_path / "nan.pods"
         bad.write_bytes(SNAPSHOT_MAGIC + struct.pack("<IIII", ARTIFACT_VERSION, 2, 16, 8)
                         + np.concatenate([np.ones(128), grid.ravel()]).astype("<f8").tobytes())
-        argv, where = ["ingest", str(bad)], "snapshot 1: "
+        argv, where = ["ingest", str(bad)], f"{bad}: snapshot 1: "
     assert main(argv) == 2
     assert capsys.readouterr().err == f"error: {where}non-finite value at flat index 44\n"
     assert not (tmp_path / "x.pods").exists()
+
+
+@pytest.mark.parametrize("data, why", [
+    (b"NOPE0000000000000000", "bad magic b'NOPE', expected b'PODS'"),
+    (SNAPSHOT_MAGIC + b"\x01\x00", "truncated header: 6 bytes, need 20"),
+    (SNAPSHOT_MAGIC + struct.pack("<IIII", ARTIFACT_VERSION, 1, 16, 16) + bytes(8),
+     "truncated payload: expected 2048 bytes, found 8"),
+], ids=["magic", "header", "payload"])
+def test_ingest_of_a_malformed_pods_exits_2_naming_the_file(tmp_path, capsys, data, why):
+    bad = tmp_path / "bad.pods"
+    bad.write_bytes(data)
+    assert main(["ingest", str(bad)]) == 2
+    assert capsys.readouterr().err == f"error: {bad}: {why}\n"
+
+
+@pytest.mark.parametrize("load, name", [(pod.load_basis, "x.podb"), (mps.load_mps, "x.podm")])
+def test_a_malformed_artifact_is_named_in_its_error(tmp_path, load, name):
+    """Header and payload errors of .podb and .podm files name the file."""
+    x = np.random.default_rng(3).normal(size=(64, 4))
+    good = tmp_path / name
+    if name.endswith(".podb"):
+        pod.save_basis(pod.pod_decompose(x), good)
+    else:
+        mps.save_mps(tt_svd(x[:, 0], 2), good)
+    data = good.read_bytes()
+    for broken in (b"XXXX" + data[4:], data[:10], data[:-8]):
+        good.write_bytes(broken)
+        with pytest.raises(SnapshotFormatError) as info:
+            load(good)
+        assert str(info.value).startswith(f"{good}: ")
 
 
 def test_ingest_of_an_empty_csv_exits_2_naming_it(tmp_path, capsys, recwarn):
