@@ -10,13 +10,11 @@ squared snapshot amplitudes sigma_i^2 / m; the search doubles one bond at a
 time (powers of two only, as the qubit register forces) until the estimate
 clears the requested threshold.
 
-The search does that ascent incrementally.  Each trial compression is
-contracted once, for its overlap row <approx_i, u_j>, and a trial doubling
-is scored by swapping its row into the current n_b x n_b overlap matrix.
-The estimator builds its matrix from the same one-row products, so the
-accepted trial's score is the estimate itself and the estimator runs once
-per search, for the starting plan (whose n_b product states are contracted
-once more for their rows).
+The search does that ascent incrementally.  Each compression, the starting
+plan's included, is contracted once, for its overlap row <approx_i, u_j>;
+the estimate is a function of the n_b x n_b matrix of those rows, and a
+trial doubling is scored by swapping its row into the current matrix, so
+the accepted trial's score is the new estimate.
 Each sweep remembers the first cut its cap truncated, together with that
 cut's factorization, so the doubled compression resumes there without
 factoring it again: every earlier cut is the same under chi and 2 chi.
@@ -181,23 +179,9 @@ class BondPlan:
                 raise FieldError(f"bond dimension {chi} is not a power of two")
 
 
-def enc_error_estimator(basis: PodBasisSet, approximants) -> float:
-    """Weighted overlap-defect norm over the selected bases.
-
-    sqrt( sum_i | s_i - sum_j s_j <approx_i, u_j> |^2 ) with
-    s_i = sigma_i^2 / m, i and j running over the first n_b bases.
-    """
-    n_b = len(approximants)
-    if n_b == 0 or n_b > basis.m:
-        raise FieldError(f"{n_b} approximants for a basis set of size {basis.m}")
-    u = basis.u[:, :n_b]
-    rows = np.stack([_overlap_row(a, u) for a in approximants])
-    return _estimate(rows, basis.sigma[:n_b] ** 2 / basis.m)
-
-
 def _overlap_row(a: MpsVector, u) -> np.ndarray:
-    """<a, u_j> for each column u_j of u, from one contraction of a: the row
-    the estimator stacks and search_bond_plan scores trials with."""
+    """<a, u_j> for each column u_j of u, from one contraction of a: one row
+    of the overlap matrix _estimate reads."""
     dense = contract(a)
     if dense.size != u.shape[0]:
         raise FieldError(
@@ -206,7 +190,11 @@ def _overlap_row(a: MpsVector, u) -> np.ndarray:
 
 
 def _estimate(overlaps, s) -> float:
-    """The estimator from its overlap matrix, overlaps[i, j] = <approx_i, u_j>."""
+    """The encoding-error estimator, a weighted overlap-defect norm over the
+    selected bases, from its overlap matrix overlaps[i, j] = <approx_i, u_j>:
+
+        sqrt( sum_i | s_i - sum_j s_j <approx_i, u_j> |^2 ),  s_i = sigma_i^2 / m.
+    """
     return float(np.sqrt(np.sum((s - overlaps @ s) ** 2)))
 
 
@@ -219,14 +207,13 @@ def search_bond_plan(basis: PodBasisSet, threshold: float, chi_cap: int):
     the threshold.  Raises BondSearchError with the best estimate reached
     if every basis is already at chi_cap.
 
-    Trials are scored by swapping the trial's overlap row into the current
-    overlap matrix, the matrix enc_error_estimator builds row by row, so the
-    accepted trial's score is the new estimate: the estimator runs once, for
-    the starting plan.  Each trial is contracted once, for its row; the
-    starting plan's n_b compressions twice, by the estimator and for their
-    rows.  A doubling resumes the sweep of the current approximant, which
-    then drops its resume state.  The approximants returned hold only their
-    cores.
+    Every compression is contracted once, for its overlap row: the starting
+    plan's n_b rows give the starting estimate, and a trial is scored by
+    swapping its row into the current overlap matrix, so the accepted
+    trial's score is the new estimate.  The bases are basis.modes, all of u
+    for a loaded basis.  A doubling resumes the sweep of the current
+    approximant, which then drops its resume state.  The approximants
+    returned hold only their cores.
     """
     if threshold <= 0:
         raise FieldError("threshold must be positive")
@@ -237,14 +224,14 @@ def search_bond_plan(basis: PodBasisSet, threshold: float, chi_cap: int):
         raise FieldError(f"chi_cap {chi_cap} exceeds the maximal cut bond 2^{n // 2}")
 
     n_b = basis.n_b
-    u = basis.u[:, :n_b]
+    u = basis.modes
     s = basis.sigma[:n_b] ** 2 / basis.m
     chis = [1] * n_b
-    approx = [tt_svd(basis.u[:, i], 1) for i in range(n_b)]
-    est = enc_error_estimator(basis, approx)
+    approx = [tt_svd(u[:, i], 1) for i in range(n_b)]
     # every row comes from the same one-row product, so equal approximants
     # score equal and ties still go to the lowest index
     rows = np.stack([_overlap_row(a, u) for a in approx])  # rows[i, j] = <approx_i, u_j>
+    est = _estimate(rows, s)
     trials = [None] * n_b  # (compression at 2 chis[i], its overlap row)
     while est > threshold:
         best = None
@@ -252,7 +239,7 @@ def search_bond_plan(basis: PodBasisSet, threshold: float, chi_cap: int):
             if chis[i] >= chi_cap:
                 continue
             if trials[i] is None:
-                trial = tt_svd(basis.u[:, i], chis[i] * 2, resume=approx[i].resume)
+                trial = tt_svd(u[:, i], chis[i] * 2, resume=approx[i].resume)
                 approx[i].resume = None
                 trials[i] = (trial, _overlap_row(trial, u))
             candidate = rows.copy()

@@ -333,9 +333,10 @@ def _try_reuse(cfg, digests, manifest_path):
     """The OfflineResult manifest_path records, or None when the artifacts must
     be rebuilt: the manifest is missing or malformed (logged), it was written
     for other offline inputs (offline_hash of cfg and the snapshot files'
-    digests), or a listed file is missing, unparsable or changed.  Each file
-    is read once: it is loaded, and the sha256 of the bytes loaded is
-    compared with the manifest's."""
+    digests), or a listed file is missing, unparsable (a basis of the older
+    layout, which also held V and all m columns of U, among them) or
+    changed.  Each file is read once: it is loaded, and the sha256 of the
+    bytes loaded is compared with the manifest's."""
     try:
         manifest = json.loads(Path(manifest_path).read_text())
     except (OSError, json.JSONDecodeError):

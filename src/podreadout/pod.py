@@ -6,6 +6,8 @@ column-major (n, m) array and is the one check of a snapshot matrix (Field2D
 keeps values finite).
 Its left singular vectors are the spatial bases; the tail of the singular
 spectrum drives both the truncation estimator and the basis count choice.
+A basis file keeps all m singular values, which the estimators read, but
+only the n_b selected modes, the columns every later stage reads.
 """
 
 from __future__ import annotations
@@ -22,16 +24,17 @@ BASIS_MAGIC = b"PODB"
 
 @dataclass(frozen=True)
 class PodBasisSet:
-    """Thin SVD of a snapshot matrix plus the selected basis count n_b.
+    """Left singular vectors and all m singular values of a snapshot matrix,
+    plus the selected basis count n_b.
 
-    u has orthonormal columns (the spatial bases), sigma is non-increasing,
-    v holds the right singular vectors as columns.  n_b defaults to m and
-    is narrowed by select_nb.
+    u has orthonormal columns (the spatial bases) and sigma is non-increasing.
+    pod_decompose keeps all m columns of u and sets n_b = m, which select_nb
+    narrows; a loaded basis holds only its first n_b columns, C-ordered, so
+    no n_b above them can be selected.
     """
 
     u: np.ndarray
     sigma: np.ndarray
-    v: np.ndarray
     n_b: int
 
     @property
@@ -40,11 +43,16 @@ class PodBasisSet:
 
     @property
     def m(self) -> int:
-        return self.u.shape[1]
+        return self.sigma.shape[0]
+
+    @property
+    def modes(self) -> np.ndarray:
+        """The n_b selected bases, u[:, :n_b]: all of u for a loaded basis."""
+        return self.u[:, :self.n_b]
 
     def with_nb(self, n_b: int) -> "PodBasisSet":
-        if not (1 <= n_b <= self.m):
-            raise FieldError(f"n_b={n_b} outside [1, {self.m}]")
+        if not (1 <= n_b <= self.u.shape[1]):
+            raise FieldError(f"n_b={n_b} outside [1, {self.u.shape[1]}]")
         return replace(self, n_b=n_b)
 
 
@@ -82,19 +90,17 @@ def pod_decompose(s: np.ndarray) -> PodBasisSet:
     """Thin SVD with a fixed sign convention.
 
     Each left singular vector is flipped so its largest-magnitude entry is
-    positive (ties broken by lowest index); the matching right vector flips
-    with it, so u @ diag(sigma) @ v.T still reproduces the snapshots.
+    positive (ties broken by lowest index).  The right singular vectors are
+    dropped: no stage reads them.
     """
     n, m = s.shape
     try:
-        u, sigma, vt = np.linalg.svd(s, full_matrices=False)
+        u, sigma, _ = np.linalg.svd(s, full_matrices=False)
     except np.linalg.LinAlgError as exc:
         raise FieldError(f"SVD failed on {n}x{m} snapshot matrix: {exc}") from exc
     signs = np.where(u[np.argmax(np.abs(u), axis=0), np.arange(u.shape[1])] < 0.0, -1.0, 1.0)
     u *= signs  # a sign flip is exact, so this equals negating the flipped columns
-    v = vt.T
-    v *= signs
-    return PodBasisSet(u=u, sigma=sigma, v=v, n_b=m)
+    return PodBasisSet(u=u, sigma=sigma, n_b=m)
 
 
 def proj_error_estimator(sigma, m: int, n_b: int) -> float:
@@ -118,36 +124,37 @@ def select_nb(sigma, m: int, threshold: float) -> int:
 
 
 def exact_projection_error(x, basis: PodBasisSet, n_b: int | None = None) -> float:
-    """L2 residual of x after orthogonal projection onto the first n_b bases."""
+    """L2 residual of x after orthogonal projection onto the first n_b bases
+    (by default the basis's own n_b)."""
     x = np.asarray(x, dtype=np.float64)
-    if n_b is None:
-        n_b = basis.n_b
     if x.shape != (basis.n,):
         raise FieldError(f"vector length {x.shape} does not match basis length {basis.n}")
-    if not (1 <= n_b <= basis.m):
-        raise FieldError(f"n_b={n_b} outside [1, {basis.m}]")
-    un = basis.u[:, :n_b]
+    un = (basis if n_b is None else basis.with_nb(n_b)).modes
     return float(np.linalg.norm(x - un @ (un.T @ x)))
 
 
 def save_basis(basis: PodBasisSet, path) -> str:
-    """Persist: magic, header fields n, m, n_b, then sigma, u column-major,
-    v column-major.  Returns the sha256 of the bytes written."""
-    # u.T and v.T in C order are u and v column-major, so each is copied once
+    """Persist: magic, header fields n, m, n_b, then sigma (all m values) and
+    the n_b selected columns of u, column-major.  Returns the sha256 of the
+    bytes written."""
+    # modes.T in C order is u[:, :n_b] column-major
     return write_artifact(path, BASIS_MAGIC, (basis.n, basis.m, basis.n_b),
-                          (basis.sigma, basis.u.T, basis.v.T))
+                          (basis.sigma, basis.modes.T))
 
 
 def _basis(header, payload):
     n, m, n_b = header
-    expected = 8 * (m + n * m + m * m)
+    if not 1 <= n_b <= m < n:
+        raise SnapshotFormatError(f"header n={n}, m={m}, n_b={n_b}: need 1 <= n_b <= m < n")
+    expected = 8 * (m + n * n_b)
     if len(payload) != expected:
-        raise SnapshotFormatError(f"truncated basis payload: {len(payload)} != {expected}")
+        raise SnapshotFormatError(
+            f"basis payload of {len(payload)} bytes, expected {expected} for n={n}, n_b={n_b}")
     raw = np.frombuffer(payload, dtype="<f8")
     sigma = raw[:m].copy()
-    u = raw[m:m + n * m].reshape((n, m), order="F").copy()
-    v = raw[m + n * m:].reshape((m, m), order="F").copy()
-    return PodBasisSet(u=u, sigma=sigma, v=v, n_b=n_b)
+    # C order: an F-order u changes the last bits of the bond search's estimates
+    u = raw[m:].reshape((n, n_b), order="F").copy(order="C")
+    return PodBasisSet(u=u, sigma=sigma, n_b=n_b)
 
 
 def load_basis(path):

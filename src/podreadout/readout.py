@@ -74,13 +74,13 @@ class Target:
         """(overlaps <approx_i, x>, exact E_proj, exact E_enc) for n_b = basis.n_b."""
         kept = self._podr
         if kept is None or kept[0] is not basis or kept[1] is not approximants:
-            x, n_b = self.x, basis.n_b
+            x = self.x
             dense = np.stack([contract(a) for a in approximants])
             if dense.shape[1] != x.size:
                 raise FieldError("approximants do not match the state length")
             overlaps = dense @ x
-            e_proj = exact_projection_error(x, basis, n_b)
-            e_enc = float(np.linalg.norm(basis.u[:, :n_b].T @ x - overlaps))
+            e_proj = exact_projection_error(x, basis)
+            e_enc = float(np.linalg.norm(basis.modes.T @ x - overlaps))
             self._podr = kept = (basis, approximants, overlaps, e_proj, e_enc)
         return kept[2:]
 
@@ -156,7 +156,7 @@ def podr_readout(
         [sample_coefficient(p0s[i], n_shot_basis, [seed, i]) for i in range(n_b)]
     )
 
-    recon = basis.u[:, :n_b] @ coeffs
+    recon = basis.modes @ coeffs
     return ReadoutReport(
         n_shot_total=n_shot_total,
         reconstruction=recon,

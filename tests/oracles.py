@@ -1,9 +1,10 @@
 """Checks and reference values that only tests use.
 
 No podr command needs these, so they live beside the tests instead of in
-the package: the noise-free PODR readout, PODR's error-budget check, the
-line fit that judges depth scaling, the interior divergence of a velocity
-pair, the structural checks of a tensor train and the arrays an object holds.
+the package: the encoding-error estimator of a list of approximants, the
+noise-free PODR readout, PODR's error-budget check, the line fit that judges
+depth scaling, the interior divergence of a velocity pair, the structural
+checks of a tensor train and the arrays an object holds.
 """
 
 import types
@@ -11,15 +12,27 @@ import types
 import numpy as np
 
 from podreadout.errors import FieldError
-from podreadout.mps import contract
+from podreadout.mps import _estimate, _overlap_row, contract
 from podreadout.readout import _sampling_bound
+
+
+def enc_error_estimator(basis, approximants) -> float:
+    """The encoding-error estimator of approximants of the first
+    len(approximants) bases, from the overlap rows mps.search_bond_plan
+    scores with: its estimate for the approximants it returns, bit for bit."""
+    n_b = len(approximants)
+    if n_b == 0 or n_b > basis.u.shape[1]:
+        raise FieldError(f"{n_b} approximants for a basis set of {basis.u.shape[1]} bases")
+    u = basis.u[:, :n_b]
+    rows = np.stack([_overlap_row(a, u) for a in approximants])
+    return _estimate(rows, basis.sigma[:n_b] ** 2 / basis.m)
 
 
 def noise_free_podr(target, basis, approximants):
     """(epsilon, exact E_proj, exact E_enc) of PODR with every overlap known
     exactly: the infinite-shot limit of readout.podr_readout."""
     overlaps, e_proj, e_enc = target.podr_terms(basis, approximants)
-    recon = basis.u[:, :basis.n_b] @ overlaps
+    recon = basis.modes @ overlaps
     return float(np.linalg.norm(target.x - recon)), e_proj, e_enc
 
 

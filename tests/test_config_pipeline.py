@@ -338,7 +338,7 @@ class TestOffline:
             alive.append((comp, [r() for c, rs in refs.items() if c != comp for r in rs
                                  if r() is not None]))
             basis = real_decompose(mat)
-            refs[comp] += [weakref.ref(a) for a in (basis.u, basis.sigma, basis.v)]
+            refs[comp] += [weakref.ref(a) for a in (basis.u, basis.sigma)]
             return basis
 
         monkeypatch.setattr(pod, "build_snapshot_matrix", build)

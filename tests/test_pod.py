@@ -7,7 +7,9 @@ from hypothesis import strategies as st
 
 from podreadout.errors import FieldError, SnapshotFormatError
 from podreadout.flow import Field2D
+from podreadout.io_util import write_artifact
 from podreadout.pod import (
+    BASIS_MAGIC,
     PodBasisSet,
     build_snapshot_matrix,
     exact_projection_error,
@@ -84,15 +86,13 @@ def frozen_build(fields):
 
 def frozen_decompose(s):
     """pod_decompose as first written (one Python pass per column), kept as
-    an oracle."""
-    u, sigma, vt = np.linalg.svd(s, full_matrices=False)
-    v = vt.T
+    an oracle: (u, sigma)."""
+    u, sigma, _ = np.linalg.svd(s, full_matrices=False)
     for i in range(u.shape[1]):
         lead = u[np.argmax(np.abs(u[:, i])), i]
         if lead < 0.0:
             u[:, i] = -u[:, i]
-            v[:, i] = -v[:, i]
-    return u, sigma, v
+    return u, sigma
 
 
 def snapshot_fields(kind, n, m, seed):
@@ -122,7 +122,7 @@ class TestFrozenKernels:
         want = frozen_build(fields)
         assert s.shape == want.shape and s.tobytes() == want.tobytes()
         basis = pod_decompose(s)
-        got = (basis.u, basis.sigma, basis.v)
+        got = (basis.u, basis.sigma)
         assert [(a.shape, a.tobytes()) for a in got] == [
             (a.shape, a.tobytes()) for a in frozen_decompose(want)]
 
@@ -130,7 +130,7 @@ class TestFrozenKernels:
         # more columns than rows: fewer singular vectors than snapshots
         s = np.random.default_rng(3).normal(size=(4, 6))
         basis = pod_decompose(s.copy())
-        assert [a.tobytes() for a in (basis.u, basis.sigma, basis.v)] == [
+        assert [a.tobytes() for a in (basis.u, basis.sigma)] == [
             a.tobytes() for a in frozen_decompose(s.copy())]
 
 
@@ -149,10 +149,13 @@ class TestDecompose:
         assert np.allclose(basis.sigma, 1.0, atol=1e-12)
 
     def test_reconstruction_residual(self):
+        # the bases span the snapshots, and the snapshots' coefficients in
+        # them have the singular values as row norms: u.T @ s = diag(sigma) v.T
         s = random_matrix(64, 5, seed=11)
         b = pod_decompose(s)
-        recon = b.u @ np.diag(b.sigma) @ b.v.T
-        assert np.linalg.norm(recon - s) <= 1e-10
+        coeffs = b.u.T @ s
+        assert np.linalg.norm(b.u @ coeffs - s) <= 1e-10
+        assert np.abs(np.linalg.norm(coeffs, axis=1) - b.sigma).max() <= 1e-10
 
     def test_sign_convention_largest_entry_positive(self):
         s = random_matrix(32, 4, seed=5)
@@ -162,9 +165,11 @@ class TestDecompose:
             assert col[np.argmax(np.abs(col))] > 0
 
     def test_orthonormality(self):
-        b = pod_decompose(random_matrix(50, 6, seed=9))
+        s = random_matrix(50, 6, seed=9)
+        b = pod_decompose(s)
         assert np.abs(b.u.T @ b.u - np.eye(6)).max() <= 1e-10
-        assert np.abs(b.v.T @ b.v - np.eye(6)).max() <= 1e-10
+        v = (s.T @ b.u) / b.sigma  # the right singular vectors the bases imply
+        assert np.abs(v.T @ v - np.eye(6)).max() <= 1e-10
 
     def test_sigma_sorted(self):
         b = pod_decompose(random_matrix(40, 5, seed=2))
@@ -285,15 +290,48 @@ class TestCavityEnsemble:
 
 class TestPersistence:
     def test_roundtrip(self, tmp_path):
+        """All m singular values and the n_b selected columns, bit for bit,
+        with u C-ordered: an F-order u changes the bond search's last bits."""
         b = pod_decompose(random_matrix(32, 4, seed=33)).with_nb(2)
         path = tmp_path / "basis.podb"
         written = save_basis(b, path)
         back, digest = load_basis(path)
         assert digest == written == hashlib.sha256(path.read_bytes()).hexdigest()
-        assert back.n_b == 2
-        assert np.array_equal(back.u, b.u)
-        assert np.array_equal(back.sigma, b.sigma)
-        assert np.array_equal(back.v, b.v)
+        assert path.stat().st_size == 20 + 8 * (4 + 32 * 2)
+        assert (back.n, back.m, back.n_b) == (32, 4, 2)
+        assert back.sigma.tobytes() == b.sigma.tobytes()
+        assert back.u.shape == (32, 2) and back.u.flags.c_contiguous
+        assert back.u.tobytes() == np.ascontiguousarray(b.u[:, :2]).tobytes()
+
+    def test_a_loaded_basis_refuses_a_count_above_its_columns(self, tmp_path):
+        b = pod_decompose(random_matrix(32, 4, seed=33)).with_nb(2)
+        save_basis(b, tmp_path / "basis.podb")
+        back, _ = load_basis(tmp_path / "basis.podb")
+        assert back.with_nb(1).n_b == 1
+        with pytest.raises(FieldError, match=r"n_b=3 outside \[1, 2\]"):
+            back.with_nb(3)
+        with pytest.raises(FieldError, match=r"n_b=3 outside \[1, 2\]"):
+            exact_projection_error(back.u[:, 0], back, 3)
+
+    @pytest.mark.parametrize("n, m, n_b", [(8, 3, 0), (8, 3, 4), (4, 4, 2), (4, 5, 2)],
+                             ids=["n_b-zero", "n_b-above-m", "m-equals-n", "m-above-n"])
+    def test_a_header_outside_its_bounds_is_refused_naming_the_file(self, tmp_path, n, m, n_b):
+        # the payload has the size the header implies, so only the bounds refuse it
+        path = tmp_path / "bad.podb"
+        write_artifact(path, BASIS_MAGIC, (n, m, n_b), (np.ones(m), np.ones((n_b, n))))
+        with pytest.raises(SnapshotFormatError) as info:
+            load_basis(path)
+        assert str(info.value) == (
+            f"{path}: header n={n}, m={m}, n_b={n_b}: need 1 <= n_b <= m < n")
+
+    def test_an_old_layout_file_never_parses(self, tmp_path):
+        """A file written as sigma, all m columns of u and the m x m matrix v
+        is refused, so reuse rebuilds it."""
+        b = pod_decompose(random_matrix(32, 4, seed=33)).with_nb(2)
+        path = tmp_path / "basis.podb"
+        write_artifact(path, BASIS_MAGIC, (32, 4, 2), (b.sigma, b.u.T, np.eye(4)))
+        with pytest.raises(SnapshotFormatError, match=f"^{path}: basis payload of 1184 bytes"):
+            load_basis(path)
 
     def test_bad_magic(self, tmp_path):
         p = tmp_path / "x.podb"

@@ -41,7 +41,7 @@ def podr_p0(monkeypatch, x, u):
         return 0.0
 
     monkeypatch.setattr(readout, "sample_coefficient", spy)
-    basis = PodBasisSet(u=u[:, None], sigma=np.ones(1), v=np.ones((1, 1)), n_b=1)
+    basis = PodBasisSet(u=u[:, None], sigma=np.ones(1), n_b=1)
     podr_readout(Target(x), basis, [tt_svd(u, 2)], 1, seed=0)
     return seen[0]
 

@@ -27,7 +27,7 @@ from podreadout.flow import (
     transient_pair,
     write_snapshot_file,
 )
-from podreadout.io_util import ARTIFACT_VERSION, atomic_write_text
+from podreadout.io_util import ARTIFACT_VERSION, atomic_write_text, write_artifact
 from podreadout.mps import contract, tt_svd
 from podreadout.pipeline import harmonized_shots, problem_of, run_offline
 from podreadout.visualize import (
@@ -307,6 +307,34 @@ class TestCli:
         assert main(["--config", str(cfg_path), *flags, "offline"]) == 0
         assert ("(reused)" in capsys.readouterr().out) is reused
         assert (manifest.read_bytes() == before) is reused
+
+    def test_offline_rebuilds_bases_written_in_the_old_layout(self, tmp_path, capsys):
+        """Bases written as sigma, all m columns of u and the m x m matrix v,
+        under a manifest naming their digests, never parse: `podr offline`
+        rebuilds them, exits 0 and writes the manifest it writes afresh."""
+        cfg_path = write_config(tmp_path)
+        out, manifest = tmp_path / "out", tmp_path / "out" / "manifest.json"
+        assert main(["--config", str(cfg_path), "offline"]) == 0
+        before = manifest.read_bytes()
+        doc = json.loads(before)
+        prob = problem_of(validate_config(load_config(str(cfg_path))))
+        for k, comp in enumerate(pipeline.COMPONENTS):
+            mat = pod.build_snapshot_matrix([prob.pair(p)[k] for p in prob.labels])
+            u, sigma, vt = np.linalg.svd(mat, full_matrices=False)
+            name = f"{comp}_basis.podb"
+            doc["components"][comp]["files"][name] = write_artifact(
+                out / name, pod.BASIS_MAGIC, (*mat.shape, doc["components"][comp]["n_b"]),
+                (sigma, u.T, vt))
+        manifest.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
+        capsys.readouterr()
+        assert main(["--config", str(cfg_path), "offline"]) == 0
+        captured = capsys.readouterr()
+        assert captured.out.count("n_b=") == 2 and "(reused)" not in captured.out
+        assert "Traceback" not in captured.err
+        assert manifest.read_bytes() == before
+        for comp in pipeline.COMPONENTS:
+            basis, _ = pod.load_basis(out / f"{comp}_basis.podb")
+            assert basis.u.shape == (basis.n, basis.n_b)
 
     def test_param_study_command(self, tmp_path):
         cfg_path = write_config(tmp_path)
