@@ -18,10 +18,11 @@ reads), runs the two bond searches and writes the approximants and the
 manifest; it persists (or reloads) the results.  run_depth_study repeats
 both stages across grid sizes and run_param_study reads the same bases.
 readouts is the one loop over readout cells (component, method, budget,
-seed): the sweep, `podr readout` and `podr visualize` all use it.
-run_offline's bond searches and readouts' cells run ux on the calling thread
-and uy on one worker thread (_on_two_threads), then log, write and raise in
-ux, uy order; pass 1 and run_depth_study stay serial.
+seed): the sweep, `podr readout` and `podr visualize` all use it, and it
+runs every cell on the calling thread, ux's and then uy's.  Only
+run_offline's two bond searches run ux on the calling thread and uy on one
+worker thread (_on_two_threads), then write and raise in ux, uy order; pass
+1 and run_depth_study stay serial.
 harmonized_shots is the one rule that fits a shot budget to basis counts:
 to a PODR cell's n_b in run_cell, to both components' in `podr visualize`.
 
@@ -115,8 +116,8 @@ def _load_stored_state(path, nx, ny):
         fields, _ = flow.read_snapshot_file(path)
     except FileNotFoundError:
         return None
-    except (OSError, SnapshotFormatError) as exc:
-        log.warning("unreadable field store file %s (%s); solving again", path, exc)
+    except (OSError, SnapshotFormatError) as exc:  # each names the file
+        log.warning("unreadable field store file (%s); solving again", exc)
         return None
     grids = [(f.nx, f.ny) for f in fields]
     if grids != [(nx, ny)] * 2:
@@ -274,11 +275,11 @@ def component_basis(prob: Problem, comp: str, proj_thr: float | None = None):
 def _on_two_threads(work) -> list:
     """[(work(comp), None), or (None, the exception it raised), for comp in COMPONENTS].
 
-    ux runs on the calling thread while one worker thread runs uy: after the
-    POD nothing couples the components, and numpy releases the GIL in their
-    SVDs, products, draws and FFTs, so two cores overlap.  The outcomes come
-    back in COMPONENTS order after the join, so the caller logs, writes and
-    raises the first failure as a ux-then-uy loop would.
+    ux runs on the calling thread while one worker thread runs uy: run_offline
+    uses it for the two bond searches, which nothing couples, and numpy
+    releases the GIL in their SVDs and products, so two free cores overlap.
+    The outcomes come back in COMPONENTS order after the join, so the caller
+    writes and raises the first failure as a ux-then-uy loop would.
     """
     outcomes = {}
 
@@ -458,34 +459,25 @@ def run_cell(cfg, offline, target, comp, method, n_shot, seed):
 
 def readouts(cfg, offline, targets, budgets, seeds, keep):
     """Yield keep(comp, method, n_shot, seed, report) for every readout cell:
-    per component, product(cfg.methods, budgets, seeds).
+    per component, ux's and then uy's, product(cfg.methods, budgets, seeds).
 
-    ux's cells run on the calling thread and uy's on one worker thread
-    (_on_two_threads).  Each thread pops its component's readout.Target from
-    targets, drops it after its cells and keeps only keep's value of each
-    report, so a report's 2^n-entry arrays outlive its cell only if keep holds
-    them.  The values are yielded after the join in cell order, each after its
-    cell's "PODR budget ... rounded" line; a failed cell raises its exception
-    in its place.
+    Every cell runs on the calling thread, each after its "PODR budget ...
+    rounded" line; a failed cell raises in its place.  Each component pops
+    its readout.Target from targets and drops it before the next component
+    starts, and only keep's value of each report is yielded, so a report's
+    2^n-entry arrays outlive its cell only if keep holds them.
     """
     cells = list(itertools.product(cfg.methods, budgets, seeds))
-    kept = {comp: [] for comp in COMPONENTS}
-
-    def work(comp):
+    for comp in COMPONENTS:
         target = targets.pop(comp)
-        for cell in cells:
-            kept[comp].append(keep(comp, *cell, run_cell(cfg, offline, target, comp, *cell)))
-
-    for comp, (_, exc) in zip(COMPONENTS, _on_two_threads(work)):
         n_b = offline.components[comp].basis.n_b
-        for k, (method, n_shot, _) in enumerate(cells):
+        for method, n_shot, seed in cells:
             shots = harmonized_shots(n_shot, [n_b]) if method == "PODR" else n_shot
             if shots != n_shot:
                 log.info("PODR budget %d rounded to %d, a multiple of n_b=%d (%s)",
                          n_shot, shots, n_b, comp)
-            if k == len(kept[comp]):
-                raise exc
-            yield kept[comp][k]
+            yield keep(comp, method, n_shot, seed,
+                       run_cell(cfg, offline, target, comp, method, n_shot, seed))
 
 
 def _median(values) -> float:

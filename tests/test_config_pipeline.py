@@ -4,7 +4,6 @@ import json
 import logging
 import os
 import sys
-import threading
 import weakref
 from pathlib import Path
 
@@ -458,13 +457,11 @@ class TestSweep:
         n_bs = [art.basis.n_b for art in offline.components.values()]
         calls = {"fft": 0, "contract": 0, "stack": 0}
         fft, contract, stack = np.fft.fft, readout.contract, np.stack
-        lock = threading.Lock()  # both components' readouts run at once
 
         def counted(name, fn, only_from=None):
             def spy(*args, **kwargs):
                 if only_from is None or sys._getframe(1).f_globals["__name__"] == only_from:
-                    with lock:
-                        calls[name] += 1
+                    calls[name] += 1
                 return fn(*args, **kwargs)
             return spy
 
@@ -482,6 +479,26 @@ class TestSweep:
 
         monkeypatch.setattr(pipeline, "run_cell", fresh_target)
         assert sweep_bytes(tmp_path / "fresh") == once
+
+    def test_ux_target_is_freed_before_uy_cells_start(self, tmp_path, monkeypatch):
+        """The readouts run ux's cells, then uy's: ux's Target (and what it
+        keeps of its readouts) is gone by the time uy's first cell starts."""
+        cfg = transient_config(tmp_path / "out")
+        offline = run_offline(cfg)
+        targets = problem_of(cfg).targets()
+        ux = weakref.ref(targets["ux"])
+        ux_alive, real = [], pipeline.run_cell
+
+        def run_cell(cfg, offline, target, comp, *cell):
+            if comp == "uy" and not ux_alive:
+                ux_alive.append(ux() is not None)
+            return real(cfg, offline, target, comp, *cell)
+
+        monkeypatch.setattr(pipeline, "run_cell", run_cell)
+        cells = list(pipeline.readouts(cfg, offline, targets, cfg.shot_grid, cfg.seeds,
+                                       lambda comp, *cell: comp))
+        assert cells == ["ux"] * (len(cells) // 2) + ["uy"] * (len(cells) // 2)
+        assert ux_alive == [False] and targets == {}
 
     def test_rows_hold_scalars_only(self, tmp_path):
         # a readout report holds N-entry arrays; the sweep must not keep them

@@ -163,7 +163,7 @@ def test_damaged_store_file_is_solved_again(tmp_path, solves, caplog, damage):
     caplog.set_level(logging.WARNING, logger="podreadout")
     again = FieldCache(str(store)).cavity(*SOLVE)
     assert len(solves) == 2
-    assert str(path) in caplog.text and "solving again" in caplog.text
+    assert caplog.text.count(str(path)) == 1 and "solving again" in caplog.text
     assert path.read_bytes() == good
     for a, b in zip(solved, again):
         assert (b.nx, b.ny) == (16, 16)

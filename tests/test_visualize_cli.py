@@ -595,6 +595,20 @@ def test_verbose_stderr_is_the_serial_line_sequence(cavity_32, caplog, capsys, m
         sys.setswitchinterval(interval)
 
 
+@pytest.mark.parametrize("argv", [["sweep"], ["readout"], ["visualize", "--shots", "1000"]],
+                         ids=["sweep", "readout", "visualize"])
+def test_readout_commands_start_no_thread(cavity_32, monkeypatch, argv):
+    """The readout cells run on the calling thread: on stored artifacts, a
+    command that reads out constructs no threading.Thread."""
+    assert main(["--config", str(cavity_32), "offline"]) == 0  # artifacts in place
+
+    def no_thread(*args, **kwargs):
+        raise AssertionError("a readout command started a thread")
+
+    monkeypatch.setattr(pipeline.threading, "Thread", no_thread)
+    assert main(["--config", str(cavity_32), *argv]) == 0
+
+
 @pytest.mark.parametrize("failing, named", [(("uy",), "uy"), (("ux", "uy"), "ux")])
 def test_offline_raises_the_first_failing_component(tmp_path, capsys, monkeypatch,
                                                     failing, named):
