@@ -110,13 +110,14 @@ def _cmd_visualize(cfg, args):
     if shots != requested:
         log.info("shared budget adjusted from %d to %d", requested, shots)
     targets = prob.targets()
+    # only the vectors: readouts pops each Target and frees it after its cells
+    truth = {comp: target.x for comp, target in targets.items()}
     reports = {}
-    # a copy: readouts pops each target, and the truth panels read targets[c].x
     for comp, method, rep in pipeline.readouts(
-            cfg, offline, dict(targets), (shots,), cfg.seeds[:1],
+            cfg, offline, targets, (shots,), cfg.seeds[:1],
             lambda comp, method, n_shot, seed, rep: (comp, method, rep)):
         reports.setdefault(method, {})[comp] = rep
-    written = visualize.emit_visual_comparison(cfg, reports, targets)
+    written = visualize.emit_visual_comparison(cfg, reports, truth)
     print(f"wrote {len(written)} panel files under {cfg.out_dir}")
     return 0
 

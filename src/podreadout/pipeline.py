@@ -13,16 +13,13 @@ problem's pairs, with its basis count; offline_component is the bond search
 on one component's basis.  run_offline runs them in two passes.  Pass 1
 takes one component at a time: it builds, factors and writes that basis and
 frees it, so no SVD runs while the other component's snapshot data or basis
-is in memory.  Pass 2 reads both bases back (the bytes every later command
-reads), runs the two bond searches and writes the approximants and the
-manifest; it persists (or reloads) the results.  run_depth_study repeats
-both stages across grid sizes and run_param_study reads the same bases.
-readouts is the one loop over readout cells (component, method, budget,
-seed): the sweep, `podr readout` and `podr visualize` all use it, and it
-runs every cell on the calling thread, ux's and then uy's.  Only
-run_offline's two bond searches run ux on the calling thread and uy on one
-worker thread (_on_two_threads), then write and raise in ux, uy order; pass
-1 and run_depth_study stay serial.
+is in memory.  Pass 2 takes ux and then uy: it reads the basis back (the
+bytes every later command reads), searches it and writes its approximants;
+the manifest comes last.  run_depth_study repeats both stages across grid
+sizes and run_param_study reads the same bases.  readouts is the one loop
+over readout cells (component, method, budget, seed): the sweep, `podr
+readout` and `podr visualize` all use it, ux's cells and then uy's.
+Everything runs on the calling thread; no stage starts a thread.
 harmonized_shots is the one rule that fits a shot budget to basis counts:
 to a PODR cell's n_b in run_cell, to both components' in `podr visualize`.
 
@@ -42,7 +39,6 @@ import json
 import logging
 import math
 import os
-import threading
 from dataclasses import dataclass, replace
 from typing import Callable
 from pathlib import Path
@@ -272,32 +268,6 @@ def component_basis(prob: Problem, comp: str, proj_thr: float | None = None):
     return basis.with_nb(pod.select_nb(basis.sigma, basis.m, proj_thr))
 
 
-def _on_two_threads(work) -> list:
-    """[(work(comp), None), or (None, the exception it raised), for comp in COMPONENTS].
-
-    ux runs on the calling thread while one worker thread runs uy: run_offline
-    uses it for the two bond searches, which nothing couples, and numpy
-    releases the GIL in their SVDs and products, so two free cores overlap.
-    The outcomes come back in COMPONENTS order after the join, so the caller
-    writes and raises the first failure as a ux-then-uy loop would.
-    """
-    outcomes = {}
-
-    def run(comp):
-        try:
-            outcomes[comp] = (work(comp), None)
-        except Exception as exc:  # handed back to the caller, in COMPONENTS order
-            outcomes[comp] = (None, exc)
-
-    worker = threading.Thread(target=run, args=(COMPONENTS[1],))
-    worker.start()
-    try:
-        run(COMPONENTS[0])
-    finally:
-        worker.join()
-    return [outcomes[comp] for comp in COMPONENTS]
-
-
 @dataclass
 class OfflineComponent:
     basis: pod.PodBasisSet
@@ -376,10 +346,10 @@ def run_offline(cfg: ExperimentConfig, prob: Problem | None = None) -> OfflineRe
     each file's bytes as written.  A rerun whose offline hash and file hashes
     match loads everything back instead of recomputing.
 
-    Pass 1 writes each component's basis in turn; pass 2 reads both back and
-    searches them on two threads.  A failed search raises after both bases
-    and the approximants of the components before it are written, and
-    before the manifest.
+    Pass 1 writes each component's basis in turn; pass 2 reads each back,
+    searches it and writes its approximants, ux and then uy.  A failed
+    search raises after both bases and the approximants of the components
+    before it are written, and before the manifest.
     """
     out_dir = cfg.out_dir
     os.makedirs(out_dir, exist_ok=True)
@@ -404,17 +374,13 @@ def run_offline(cfg: ExperimentConfig, prob: Problem | None = None) -> OfflineRe
     for comp, name in basis_files.items():  # pass 1, one component at a time
         written[name] = pod.save_basis(component_basis(prob, comp, proj_thr),
                                        os.path.join(out_dir, name))
-    # pass 2: both bases as every later command reads them
-    bases = {comp: pod.load_basis(os.path.join(out_dir, name))[0]
-             for comp, name in basis_files.items()}
-    outcomes = _on_two_threads(lambda comp: offline_component(bases[comp], enc_thr, cfg.chi_cap))
-
     components = {}
-    for comp, (art, exc) in zip(COMPONENTS, outcomes):
-        if isinstance(exc, NumericalError):
+    for comp in COMPONENTS:  # pass 2: each basis as later commands read it
+        basis, _ = pod.load_basis(os.path.join(out_dir, basis_files[comp]))
+        try:
+            art = offline_component(basis, enc_thr, cfg.chi_cap)
+        except NumericalError as exc:
             raise NumericalError(f"offline stage, component {comp}: {exc}") from exc
-        if exc is not None:
-            raise exc
         components[comp] = art
         names = _component_files(comp, art.basis.n_b)
         for name, m in zip(names[1:], art.approximants):
@@ -461,11 +427,11 @@ def readouts(cfg, offline, targets, budgets, seeds, keep):
     """Yield keep(comp, method, n_shot, seed, report) for every readout cell:
     per component, ux's and then uy's, product(cfg.methods, budgets, seeds).
 
-    Every cell runs on the calling thread, each after its "PODR budget ...
-    rounded" line; a failed cell raises in its place.  Each component pops
-    its readout.Target from targets and drops it before the next component
-    starts, and only keep's value of each report is yielded, so a report's
-    2^n-entry arrays outlive its cell only if keep holds them.
+    Each cell runs after its "PODR budget ... rounded" line; a failed cell
+    raises in its place.  Each component pops its readout.Target from
+    targets and drops it before the next component starts, and only keep's
+    value of each report is yielded, so a report's 2^n-entry arrays outlive
+    its cell only if keep holds them.
     """
     cells = list(itertools.product(cfg.methods, budgets, seeds))
     for comp in COMPONENTS:

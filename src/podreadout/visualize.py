@@ -72,17 +72,17 @@ def svg_heatmap(field: Field2D, path, title: str = "") -> None:
     atomic_write_text(path, "\n".join(parts) + "\n")
 
 
-def emit_visual_comparison(cfg, reports, targets):
+def emit_visual_comparison(cfg, reports, truth):
     """Export u_x, u_y and psi panels for each method plus the truth.
 
     reports maps method name to {"ux": ReadoutReport, "uy": ReadoutReport}
-    at one shared shot budget; targets maps "ux" and "uy" to the
-    readout.Target they read, whose x is the truth panel.  Writes under
+    at one shared shot budget; truth maps "ux" and "uy" to the unit vector
+    they read (a readout.Target's x), the truth panel.  Writes under
     cfg.out_dir/visual and returns the list of written file paths.
     """
     out_dir = os.path.join(cfg.out_dir, "visual")
     os.makedirs(out_dir, exist_ok=True)
-    panels = {"truth": {c: targets[c].x for c in COMPONENTS}}
+    panels = {"truth": {c: truth[c] for c in COMPONENTS}}
     for method, comp_reports in reports.items():
         if set(comp_reports) != set(COMPONENTS):
             raise FieldError(f"method {method} must report both components")

@@ -10,6 +10,8 @@ import pkgutil
 import struct
 import subprocess
 import sys
+import threading
+import weakref
 
 import numpy as np
 import pytest
@@ -101,7 +103,7 @@ class TestPanels:
                 for c in ("ux", "uy")}
             for m in cfg.methods
         }
-        written = emit_visual_comparison(cfg, reports, targets)
+        written = emit_visual_comparison(cfg, reports, {c: t.x for c, t in targets.items()})
         csvs = [p for p in written if p.endswith(".csv")]
         svgs = [p for p in written if p.endswith(".svg")]
         assert len(csvs) == len(svgs) == 4 * 3  # methods + truth, three panels
@@ -534,20 +536,6 @@ def test_ingested_study_refuses_before_any_read_or_hash(tmp_path, capsys, monkey
     assert read == []
 
 
-class SerialThread:
-    """threading.Thread stand-in that runs its target in join(): the worker's
-    component then runs after the caller's, as a ux-then-uy loop runs them."""
-
-    def __init__(self, target, args=()):
-        self.target, self.args = target, args
-
-    def start(self):
-        pass
-
-    def join(self):
-        self.target(*self.args)
-
-
 @pytest.fixture(scope="module")
 def cavity_32(tmp_path_factory):
     """A 32x32 cavity config (n_b = 3 for both components, so 1000- and
@@ -565,10 +553,9 @@ def cavity_32(tmp_path_factory):
 
 @pytest.mark.parametrize("argv", [["offline"], ["sweep"], ["readout"],
                                   ["visualize", "--shots", "1000"]])
-def test_verbose_stderr_is_the_serial_line_sequence(cavity_32, caplog, capsys, monkeypatch,
-                                                    argv):
-    """-v lines and stdout of a threaded command equal those of a serial run,
-    five times over: the readouts log from the caller, in cell order."""
+def test_verbose_stderr_is_the_serial_line_sequence(cavity_32, caplog, capsys, argv):
+    """The PODR budget lines come ux then uy, and a second run gives the same
+    -v lines and stdout."""
     caplog.set_level(logging.INFO, logger="podreadout")
     out = cavity_32.parent / "out"
 
@@ -580,33 +567,48 @@ def test_verbose_stderr_is_the_serial_line_sequence(cavity_32, caplog, capsys, m
         return ([f"{r.levelname} {r.getMessage()}" for r in caplog.records],
                 capsys.readouterr().out)
 
-    with monkeypatch.context() as m:
-        m.setattr(pipeline.threading, "Thread", SerialThread)
-        serial = run()
+    first = run()
     if argv[0] in ("sweep", "readout"):
-        comps = [line[-3:-1] for line in serial[0] if "PODR budget" in line]
+        comps = [line[-3:-1] for line in first[0] if "PODR budget" in line]
         assert comps and comps == ["ux"] * (len(comps) // 2) + ["uy"] * (len(comps) // 2)
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-5)  # switch threads often, so a stray worker line interleaves
-    try:
-        for _ in range(5):
-            assert run() == serial
-    finally:
-        sys.setswitchinterval(interval)
+    assert run() == first
 
 
-@pytest.mark.parametrize("argv", [["sweep"], ["readout"], ["visualize", "--shots", "1000"]],
-                         ids=["sweep", "readout", "visualize"])
-def test_readout_commands_start_no_thread(cavity_32, monkeypatch, argv):
-    """The readout cells run on the calling thread: on stored artifacts, a
-    command that reads out constructs no threading.Thread."""
+@pytest.mark.parametrize("argv", [["offline"], ["sweep"], ["readout"],
+                                  ["visualize", "--shots", "1000"], ["param-study"]],
+                         ids=["offline", "sweep", "readout", "visualize", "param-study"])
+def test_no_command_starts_a_thread(cavity_32, monkeypatch, argv):
+    """Every stage runs on the calling thread: with threading.Thread patched to
+    raise, each command exits 0, offline rebuilding its artifacts."""
+    out = cavity_32.parent / "out"
     assert main(["--config", str(cavity_32), "offline"]) == 0  # artifacts in place
+    if argv == ["offline"]:
+        (out / "manifest.json").unlink()  # rebuild, from the stored fields
 
     def no_thread(*args, **kwargs):
-        raise AssertionError("a readout command started a thread")
+        raise AssertionError(f"podr {argv[0]} started a thread")
 
-    monkeypatch.setattr(pipeline.threading, "Thread", no_thread)
+    monkeypatch.setattr(threading, "Thread", no_thread)
     assert main(["--config", str(cavity_32), *argv]) == 0
+    assert (out / "manifest.json").exists()
+
+
+def test_visualize_frees_ux_target_before_uy_cells_start(cavity_32, monkeypatch):
+    """podr visualize keeps only the truth vectors: ux's Target is gone by the
+    time uy's first readout cell starts."""
+    assert main(["--config", str(cavity_32), "offline"]) == 0  # artifacts in place
+    ux, ux_alive, real = [], [], pipeline.run_cell
+
+    def run_cell(cfg, offline, target, comp, *cell):
+        if comp == "ux" and not ux:
+            ux.append(weakref.ref(target))
+        if comp == "uy" and not ux_alive:
+            ux_alive.append(ux[0]() is not None)
+        return real(cfg, offline, target, comp, *cell)
+
+    monkeypatch.setattr(pipeline, "run_cell", run_cell)
+    assert main(["--config", str(cavity_32), "visualize", "--shots", "1000"]) == 0
+    assert ux_alive == [False]
 
 
 @pytest.mark.parametrize("failing, named", [(("uy",), "uy"), (("ux", "uy"), "ux")])
